@@ -224,7 +224,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             schedule, trace = local_search(schedule, profile, objective)
             payload["search_steps"] = len(trace.steps)
             payload["terminated_by"] = trace.terminated_by
-        payload["score"] = score(schedule, profile, objective)
+            payload["score"] = trace.final_score
+        else:
+            payload["score"] = score(schedule, profile, objective)
         payload["schedule"] = list(schedule.order)
         payload["wall_time_s"] = time.perf_counter() - started
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")

@@ -31,7 +31,7 @@ from .axioms import (
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
-from .metrics import score
+from .metrics import _compile_profile, _pair_counts, _score_compiled
 from .model import Objective
 from .rules import EXACT_RULES, RULE_NAMES, apply_rule
 from .solver import enumerate_optima, solve_exact
@@ -153,12 +153,14 @@ def run_compare(
                     rule: solve_exact(tasks, profile, objective)
                     for rule, objective in EXACT_RULES.items()
                 }
+                compiled = _compile_profile(profile)
+                counts = _pair_counts(compiled)
                 detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
                 for rule, rep in reports.items():
                     times[rule].append(rep.wall_time_s)
                     detail["ratios"][rule] = {}
                     for metric_rule, objective in EXACT_RULES.items():
-                        value = score(rep.schedule, profile, objective)
+                        value = _score_compiled(rep.schedule, compiled, objective, counts)
                         ratio = _ratio(value, reports[metric_rule].optimal_score)
                         ratios[rule][metric_rule].append(ratio)
                         detail["ratios"][rule][metric_rule] = ratio
@@ -213,7 +215,7 @@ def run_lmt_eval(
         improved, trace = local_search(start, profile, Objective.SUM_DEVIATION)
         ls_seconds = time.perf_counter() - started
 
-        ratio_pre = _ratio(score(start, profile, Objective.SUM_DEVIATION), exact.optimal_score)
+        ratio_pre = _ratio(trace.start_score, exact.optimal_score)
         ratio_post = _ratio(trace.final_score, exact.optimal_score)
         pre.append(ratio_pre)
         post.append(ratio_post)

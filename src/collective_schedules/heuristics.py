@@ -9,19 +9,12 @@ get) but together they land within a couple percent on random instances.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import MismatchedTaskSetError
-from .metrics import pairwise_counts, pta_kendall_tau, score
-from .model import (
-    Objective,
-    PreferenceProfile,
-    Schedule,
-    TaskSet,
-    _require_permutation,
-    completion_times,
-    require_valid_profile,
-)
+from .metrics import _compile_profile, _completions_by_index, _due_prefix_tables, _pair_counts, _pta_kernel
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,23 +42,14 @@ def median_completion_times(profile: PreferenceProfile) -> dict[str, int]:
     With ``v`` voters this is the ceil(v/2)-th smallest completion,
     multiplicities expanded.
     """
-    require_valid_profile(profile)
-    tasks = profile.tasks
-    gathered: dict[str, list[tuple[int, int]]] = {tid: [] for tid in tasks.ids}
-    for schedule, mult in profile.groups:
-        for tid, done in completion_times(schedule, tasks).items():
-            gathered[tid].append((done, mult))
-    threshold = (profile.voter_count + 1) // 2
-    medians: dict[str, int] = {}
-    for tid, pairs in gathered.items():
-        pairs.sort()
-        seen = 0
-        for done, mult in pairs:
-            seen += mult
-            if seen >= threshold:
-                medians[tid] = done
-                break
-    return medians
+    compiled = _compile_profile(profile)
+    threshold = (compiled.voter_count + 1) // 2
+    # cum_mult[r] weighs the r smallest dues, so the median is the last due
+    # of the shortest prefix reaching the threshold
+    return {
+        tid: dues[bisect_left(cum_mult, threshold) - 1]
+        for tid, (dues, cum_mult, *_) in zip(profile.tasks.ids, _due_prefix_tables(compiled))
+    }
 
 
 def lmt(tasks: TaskSet, profile: PreferenceProfile) -> Schedule:
@@ -92,25 +76,53 @@ def local_search(
     largest improvement (leftmost on ties), stopping at a local optimum or
     after ``max_steps`` swaps (default 2n).  Scores along the trace are
     strictly decreasing.
+
+    The profile is validated once.  A swap only moves the two swapped
+    tasks, so it is scored by its change in score: O(log groups) for
+    deviation and tardiness, from the per-task sorted due tables, and O(1)
+    for the pairwise objective.
     """
     objective = Objective(objective)
-    require_valid_profile(profile)
+    compiled = _compile_profile(profile)
     tasks = profile.tasks
     _require_permutation(schedule, tasks)
     if max_steps is None:
         max_steps = 2 * tasks.n
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
+        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
 
-    counts = pairwise_counts(profile) if objective is Objective.PTA_KENDALL_TAU else None
+    lengths = compiled.lengths
+    order = [tasks.index(tid) for tid in schedule.order]
+    if objective is Objective.PTA_KENDALL_TAU:
+        counts = _pair_counts(compiled)
+        current_score = _pta_kernel(order, lengths, counts)
 
-    def evaluate(s: Schedule) -> int:
-        if counts is not None:
-            return pta_kendall_tau(s, profile, counts)
-        return score(s, profile, objective)
+        def swap_delta(start: int, a: int, b: int) -> int:
+            # only the pair's own term changes: a-before-b becomes b-before-a
+            return lengths[b] * counts[a][b] - lengths[a] * counts[b][a]
 
-    current = schedule
-    current_score = evaluate(schedule)
+    else:
+        table = _due_prefix_tables(compiled)
+        tardy_only = objective is Objective.SUM_TARDINESS
+
+        def cost(i: int, finish: int) -> int:
+            # task i's share of the score when it completes at `finish`;
+            # the same formula as the exact solver's step
+            dues, cum_mult, cum_due, total_mult, total_due = table[i]
+            r = bisect_right(dues, finish)
+            late = finish * cum_mult[r] - cum_due[r]
+            if tardy_only:
+                return late
+            return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
+
+        current_score = sum(cost(i, done) for i, done in enumerate(_completions_by_index(order, lengths)))
+
+        def swap_delta(start: int, a: int, b: int) -> int:
+            end = start + lengths[a] + lengths[b]
+            return cost(b, start + lengths[b]) + cost(a, end) - cost(a, start + lengths[a]) - cost(b, end)
+
     start_score = current_score
     steps: list[LocalSearchStep] = []
     terminated_by = "local-optimum"
@@ -120,21 +132,19 @@ def local_search(
             break
         best_pos = None
         best_score = current_score
-        order = current.order
+        start = 0  # completion time of the task before position pos
         for pos in range(len(order) - 1):
-            swapped = list(order)
-            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-            value = evaluate(Schedule(tuple(swapped)))
+            a, b = order[pos], order[pos + 1]
+            value = current_score + swap_delta(start, a, b)
             if value < best_score:  # strict: leftmost candidate wins ties
                 best_score = value
                 best_pos = pos
+            start += lengths[a]
         if best_pos is None:
             break
-        swapped = list(order)
-        swapped[best_pos], swapped[best_pos + 1] = swapped[best_pos + 1], swapped[best_pos]
-        current = Schedule(tuple(swapped))
+        order[best_pos], order[best_pos + 1] = order[best_pos + 1], order[best_pos]
         steps.append(LocalSearchStep(best_pos, current_score, best_score))
         current_score = best_score
 
     trace = LocalSearchTrace(tuple(steps), terminated_by, start_score, current_score)
-    return current, trace
+    return Schedule(tuple(tasks.ids[i] for i in order)), trace

@@ -12,7 +12,9 @@ Three profile metrics drive the aggregation rules:
 
 All scores are exact Python integers.  The pairwise order counts are built
 once per profile (O(v n^2)) so that evaluating one more candidate schedule
-costs O(n^2) rather than another scan over the voters.
+costs O(n^2) rather than another scan over the voters.  Scoring, solving
+and heuristic entry points validate their profile once and then read a
+:class:`CompiledProfile`, the same ballots in task-index space.
 
 ``kendall_tau`` and ``spearman_footrule`` are the classical unweighted
 distances between two schedules; with unit-length tasks they coincide with
@@ -55,33 +57,18 @@ class PairwiseCountMatrix:
 
 def pairwise_counts(profile: PreferenceProfile) -> PairwiseCountMatrix:
     """Count, for every ordered pair, the voters placing one task first."""
-    require_valid_profile(profile)
-    tasks = profile.tasks
-    n = tasks.n
-    counts = [[0] * n for _ in range(n)]
-    for order, mult in _indexed_groups(profile):
-        pos = [0] * n
-        for rank, i in enumerate(order):
-            pos[i] = rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                if pos[i] < pos[j]:
-                    counts[i][j] += mult
-                else:
-                    counts[j][i] += mult
-    return PairwiseCountMatrix(tasks, tuple(tuple(row) for row in counts), profile.voter_count)
+    compiled = _compile_profile(profile)
+    return PairwiseCountMatrix(profile.tasks, _pair_counts(compiled), compiled.voter_count)
 
 
 def deviation(schedule: Schedule, profile: PreferenceProfile) -> int:
     """Total absolute completion-time deviation from all voters."""
-    comp, dues, mults = _prepare(schedule, profile)
-    return _deviation_kernel(comp, dues, mults)
+    return _score_compiled(schedule, _compile_profile(profile), Objective.SUM_DEVIATION)
 
 
 def tardiness(schedule: Schedule, profile: PreferenceProfile) -> int:
     """Total lateness versus every voter's preferred completion times."""
-    comp, dues, mults = _prepare(schedule, profile)
-    return _tardiness_kernel(comp, dues, mults)
+    return _score_compiled(schedule, _compile_profile(profile), Objective.SUM_TARDINESS)
 
 
 def pta_kendall_tau(
@@ -107,11 +94,7 @@ def pta_kendall_tau(
 def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) -> int:
     """Evaluate one schedule under the given objective."""
     objective = Objective(objective)
-    if objective is Objective.SUM_DEVIATION:
-        return deviation(schedule, profile)
-    if objective is Objective.SUM_TARDINESS:
-        return tardiness(schedule, profile)
-    return pta_kendall_tau(schedule, profile)
+    return _score_compiled(schedule, _compile_profile(profile), objective)
 
 
 def kendall_tau(a: Schedule, b: Schedule, tasks: TaskSet | None = None) -> int:
@@ -137,11 +120,87 @@ def spearman_footrule(a: Schedule, b: Schedule, tasks: TaskSet | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# index-space kernels, shared with the enumeration oracle and local search
+# index-space form of a profile and the kernels that read it, shared with the
+# solver, the enumeration oracle, the heuristics and the experiment pipelines
 
-def _indexed_groups(profile: PreferenceProfile) -> list[tuple[tuple[int, ...], int]]:
+@dataclass(frozen=True, slots=True)
+class CompiledProfile:
+    """A validated profile in task-index space, built once per public call.
+
+    ``dues[g][i]`` is the completion time voter group ``g`` wants for the
+    task with declared index ``i``; ``mults[g]`` is that group's
+    multiplicity.  Build it with :func:`_compile_profile`; the per-task
+    sorted tables come from :func:`_due_prefix_tables`.
+    """
+
+    tasks: TaskSet
+    lengths: tuple[int, ...]
+    dues: list[list[int]]
+    mults: list[int]
+    voter_count: int
+
+
+def _compile_profile(profile: PreferenceProfile) -> CompiledProfile:
+    """Validate ``profile`` once and translate its ballots to index space."""
+    require_valid_profile(profile)
     tasks = profile.tasks
-    return [(tuple(tasks.index(tid) for tid in s.order), m) for s, m in profile.groups]
+    lengths = tasks.lengths
+    index = tasks.index
+    dues = [_completions_by_index(tuple(index(tid) for tid in s.order), lengths) for s, _ in profile.groups]
+    mults = [m for _, m in profile.groups]
+    return CompiledProfile(tasks, lengths, dues, mults, sum(mults))
+
+
+def _due_prefix_tables(compiled: CompiledProfile):
+    """Per task: sorted preferred completions with cumulative weight sums.
+
+    Entry ``i`` is ``(sorted_dues, cum_mult, cum_due, total_mult,
+    total_due)``; the cumulative lists start at 0, so ``cum_mult[r]`` is
+    the weight of the ``r`` smallest dues.
+    """
+    tables = []
+    for i in range(len(compiled.lengths)):
+        pairs = sorted((group[i], m) for group, m in zip(compiled.dues, compiled.mults))
+        cum_mult = [0]
+        cum_due = [0]
+        for d, m in pairs:
+            cum_mult.append(cum_mult[-1] + m)
+            cum_due.append(cum_due[-1] + m * d)
+        sorted_dues = [d for d, _ in pairs]
+        tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
+    return tables
+
+
+def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
+    """``counts[i][j]``: voters running task ``i`` before task ``j``."""
+    # completions rise strictly along a ballot, so due order is ballot order
+    n = len(compiled.lengths)
+    counts = [[0] * n for _ in range(n)]
+    for due, mult in zip(compiled.dues, compiled.mults):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if due[i] < due[j]:
+                    counts[i][j] += mult
+                else:
+                    counts[j][i] += mult
+    return tuple(tuple(row) for row in counts)
+
+
+def _score_compiled(
+    schedule: Schedule,
+    compiled: CompiledProfile,
+    objective: Objective,
+    counts: tuple[tuple[int, ...], ...] | None = None,
+) -> int:
+    """Score ``schedule``; pass ``counts`` to reuse one pairwise count matrix."""
+    tasks = compiled.tasks
+    _require_permutation(schedule, tasks)
+    order = tuple(tasks.index(tid) for tid in schedule.order)
+    if objective is Objective.PTA_KENDALL_TAU:
+        return _pta_kernel(order, compiled.lengths, counts if counts is not None else _pair_counts(compiled))
+    comp = _completions_by_index(order, compiled.lengths)
+    kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
+    return kernel(comp, compiled.dues, compiled.mults)
 
 
 def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> list[int]:
@@ -151,17 +210,6 @@ def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> l
         elapsed += lengths[i]
         comp[i] = elapsed
     return comp
-
-
-def _due_vectors(profile: PreferenceProfile) -> tuple[list[list[int]], list[int]]:
-    """Per voter group, each task's preferred completion time (by index)."""
-    lengths = profile.tasks.lengths
-    dues: list[list[int]] = []
-    mults: list[int] = []
-    for order, mult in _indexed_groups(profile):
-        dues.append(_completions_by_index(order, lengths))
-        mults.append(mult)
-    return dues, mults
 
 
 def _deviation_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
@@ -197,16 +245,6 @@ def _pta_kernel(
         for c in range(r + 1, n):
             total += weight * counts[order[c]][earlier]
     return total
-
-
-def _prepare(schedule: Schedule, profile: PreferenceProfile):
-    require_valid_profile(profile)
-    tasks = profile.tasks
-    _require_permutation(schedule, tasks)
-    order = tuple(tasks.index(tid) for tid in schedule.order)
-    comp = _completions_by_index(order, tasks.lengths)
-    dues, mults = _due_vectors(profile)
-    return comp, dues, mults
 
 
 def _positions(schedule: Schedule, tasks: TaskSet) -> list[int]:

@@ -37,6 +37,8 @@ class TaskSet:
 
     tasks: tuple[tuple[str, int], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         frozen = tuple((tid, length) for tid, length in self.tasks)
@@ -53,6 +55,8 @@ class TaskSet:
         if not index:
             raise ValueError("a task set needs at least one task")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", tuple(tid for tid, _ in frozen))
+        object.__setattr__(self, "_lengths", tuple(length for _, length in frozen))
 
     @classmethod
     def of(cls, *tasks: tuple[str, int]) -> "TaskSet":
@@ -64,11 +68,11 @@ class TaskSet:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(tid for tid, _ in self.tasks)
+        return self._ids
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(length for _, length in self.tasks)
+        return self._lengths
 
     @property
     def total_load(self) -> int:
@@ -214,6 +218,7 @@ def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -
     if not profile.groups:
         defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
     voters = 0
+    ids = tasks.ids
     for g, (schedule, mult) in enumerate(profile.groups):
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {mult!r}"))
@@ -226,7 +231,7 @@ def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -
             elif tid in seen:
                 defects.append(ProfileDefect(g, "duplicate-task", f"group {g} repeats task {tid!r}"))
             seen.add(tid)
-        missing = [tid for tid in tasks.ids if tid not in seen]
+        missing = [tid for tid in ids if tid not in seen]
         if missing:
             defects.append(ProfileDefect(g, "missing-task", f"group {g} is missing task(s) {missing}"))
     if not defects and voters < 1:

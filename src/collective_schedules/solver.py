@@ -26,14 +26,15 @@ from math import factorial
 
 from .errors import MismatchedTaskSetError, TooManyTasksError
 from .metrics import (
+    _compile_profile,
     _completions_by_index,
     _deviation_kernel,
-    _due_vectors,
+    _due_prefix_tables,
+    _pair_counts,
     _pta_kernel,
     _tardiness_kernel,
-    pairwise_counts,
 )
-from .model import Objective, PreferenceProfile, Schedule, TaskSet, require_valid_profile
+from .model import Objective, PreferenceProfile, Schedule, TaskSet
 
 ORACLE_MAX_TASKS = 9
 
@@ -89,17 +90,17 @@ def brute_force_oracle(tasks: TaskSet, profile: PreferenceProfile, objective: Ob
     if n > ORACLE_MAX_TASKS:
         raise TooManyTasksError(f"oracle handles at most {ORACLE_MAX_TASKS} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    require_valid_profile(profile)
+    compiled = _compile_profile(profile)
 
     lengths = tasks.lengths
     if objective is Objective.PTA_KENDALL_TAU:
-        counts = pairwise_counts(profile).counts
+        counts = _pair_counts(compiled)
 
         def evaluate(order: tuple[int, ...]) -> int:
             return _pta_kernel(order, lengths, counts)
 
     else:
-        dues, mults = _due_vectors(profile)
+        dues, mults = compiled.dues, compiled.mults
         kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
 
         def evaluate(order: tuple[int, ...]) -> int:
@@ -149,7 +150,7 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    require_valid_profile(profile)
+    compiled = _compile_profile(profile)
 
     lengths = tasks.lengths
     full = (1 << n) - 1
@@ -163,7 +164,7 @@ def solve_exact(
         load[mask] = load[mask ^ low] + lengths[low_index[low]]
 
     if objective is Objective.PTA_KENDALL_TAU:
-        counts = pairwise_counts(profile).counts
+        counts = _pair_counts(compiled)
         cols = [[row[i] for row in counts] for i in range(n)]  # cols[i][j] = voters wanting j before i
 
         def step(mask: int, i: int, rem: list[int]) -> int:
@@ -171,7 +172,7 @@ def solve_exact(
             return lengths[i] * sum(col[j] for j in rem if j != i)
 
     else:
-        table = _due_prefix_tables(profile)
+        table = _due_prefix_tables(compiled)
         tardy_only = objective is Objective.SUM_TARDINESS
 
         def step(mask: int, i: int, rem: list[int]) -> int:
@@ -262,23 +263,6 @@ def _enumerate(mask, prefix, full, bit, h, step, ids, n, cap, found) -> bool:
             if not _enumerate(mask | bit[i], prefix + [ids[i]], full, bit, h, step, ids, n, cap, found):
                 return False
     return True
-
-
-def _due_prefix_tables(profile: PreferenceProfile):
-    """Per task: sorted preferred completions with cumulative weight sums."""
-    dues, mults = _due_vectors(profile)
-    n = profile.tasks.n
-    tables = []
-    for i in range(n):
-        pairs = sorted((group[i], m) for group, m in zip(dues, mults))
-        cum_mult = [0]
-        cum_due = [0]
-        for d, m in pairs:
-            cum_mult.append(cum_mult[-1] + m)
-            cum_due.append(cum_due[-1] + m * d)
-        sorted_dues = [d for d, _ in pairs]
-        tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
-    return tables
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

@@ -1,0 +1,178 @@
+"""Fast paths against the plain kernels they replace.
+
+``local_search`` scores each adjacent swap by its change in score, read
+from the compiled profile; ``median_completion_times`` reads the lower
+median from the per-task sorted due tables.  Both must agree exactly with
+the straightforward versions kept here: the full-rescore descent and a
+voter-by-voter median.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import collective_schedules.model as model_module
+from collective_schedules import (
+    GenSpec,
+    LocalSearchStep,
+    LocalSearchTrace,
+    Objective,
+    PreferenceProfile,
+    Schedule,
+    TaskSet,
+    generate,
+    lmt,
+    local_search,
+    median_completion_times,
+    pairwise_counts,
+    pta_kendall_tau,
+    require_valid_profile,
+    score,
+)
+from collective_schedules.generation import MODELS
+from collective_schedules.model import _require_permutation
+
+
+def reference_local_search(
+    schedule: Schedule,
+    profile: PreferenceProfile,
+    objective: Objective,
+    max_steps: int | None = None,
+) -> tuple[Schedule, LocalSearchTrace]:
+    """The full-rescore descent: every candidate swap is scored from scratch."""
+    objective = Objective(objective)
+    require_valid_profile(profile)
+    tasks = profile.tasks
+    _require_permutation(schedule, tasks)
+    if max_steps is None:
+        max_steps = 2 * tasks.n
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+
+    counts = pairwise_counts(profile) if objective is Objective.PTA_KENDALL_TAU else None
+
+    def evaluate(s: Schedule) -> int:
+        if counts is not None:
+            return pta_kendall_tau(s, profile, counts)
+        return score(s, profile, objective)
+
+    current = schedule
+    current_score = evaluate(schedule)
+    start_score = current_score
+    steps: list[LocalSearchStep] = []
+    terminated_by = "local-optimum"
+    while True:
+        if len(steps) >= max_steps:
+            terminated_by = "step-cap"
+            break
+        best_pos = None
+        best_score = current_score
+        order = current.order
+        for pos in range(len(order) - 1):
+            swapped = list(order)
+            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
+            value = evaluate(Schedule(tuple(swapped)))
+            if value < best_score:  # strict: leftmost candidate wins ties
+                best_score = value
+                best_pos = pos
+        if best_pos is None:
+            break
+        swapped = list(order)
+        swapped[best_pos], swapped[best_pos + 1] = swapped[best_pos + 1], swapped[best_pos]
+        current = Schedule(tuple(swapped))
+        steps.append(LocalSearchStep(best_pos, current_score, best_score))
+        current_score = best_score
+
+    trace = LocalSearchTrace(tuple(steps), terminated_by, start_score, current_score)
+    return current, trace
+
+
+def expanded_lower_medians(profile: PreferenceProfile) -> dict[str, int]:
+    """Each task's ceil(v/2)-th smallest completion, one entry per voter."""
+    times: dict[str, list[int]] = {tid: [] for tid in profile.tasks.ids}
+    for schedule, mult in profile.groups:
+        elapsed = 0
+        for tid in schedule.order:
+            elapsed += profile.tasks.length(tid)
+            times[tid].extend([elapsed] * mult)
+    return {tid: sorted(done)[(len(done) + 1) // 2 - 1] for tid, done in times.items()}
+
+
+multiplicities = st.one_of(st.integers(1, 5), st.integers(2**40, 2**42))
+
+
+@st.composite
+def instances(draw, mults=multiplicities, max_tasks=8):
+    n = draw(st.integers(1, max_tasks))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    tasks = TaskSet(tuple((f"t{i}", length) for i, length in enumerate(lengths)))
+    ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=6))
+    counts = draw(st.lists(mults, min_size=len(ballots), max_size=len(ballots)))
+    return tasks, PreferenceProfile.of(tasks, *zip(ballots, counts))
+
+
+class TestDeltaSearchMatchesFullRescore:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instance=instances(),
+        data=st.data(),
+        objective=st.sampled_from(list(Objective)),
+        max_steps=st.sampled_from([0, 1, 2, None]),
+    )
+    def test_random_instances(self, instance, data, objective, max_steps):
+        tasks, profile = instance
+        start = Schedule(tuple(data.draw(st.permutations(tasks.ids))))
+        assert local_search(start, profile, objective, max_steps) == reference_local_search(
+            start, profile, objective, max_steps
+        )
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_seeded_corpus(self, model):
+        rng = np.random.default_rng(2018)
+        for n, v in itertools.product((2, 5, 7, 10), (1, 5, 50)):
+            tasks, profile = generate(GenSpec(n, v, model, (1, 10), int(rng.integers(0, 2**31))))
+            starts = (lmt(tasks, profile), Schedule(tuple(rng.permutation(tasks.ids))))
+            for start, objective in itertools.product(starts, Objective):
+                assert local_search(start, profile, objective) == reference_local_search(
+                    start, profile, objective
+                ), (model, n, v, start, objective)
+
+    def test_validates_the_profile_once(self, monkeypatch):
+        # the full-rescore descent re-validated the profile for every swap
+        calls = []
+        validate = model_module.validate_profile
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "validate_profile", counting_validate)
+        tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
+        start = Schedule(tuple(reversed(tasks.ids)))
+        for objective in Objective:
+            calls.clear()
+            _, trace = local_search(start, profile, objective)
+            assert trace.steps
+            assert len(calls) == 1
+
+
+class TestMedianFromDueTables:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=instances(mults=st.integers(1, 6)))
+    def test_matches_voter_expanded_lower_median(self, instance):
+        _, profile = instance
+        assert median_completion_times(profile) == expanded_lower_medians(profile)
+
+
+class TestPairCountsFromDues:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances())
+    def test_matches_ballot_positions(self, instance):
+        tasks, profile = instance
+        matrix = pairwise_counts(profile)
+        for a, b in itertools.permutations(tasks.ids, 2):
+            expected = sum(m for s, m in profile.groups if s.position(a) < s.position(b))
+            assert matrix.before(a, b) == expected

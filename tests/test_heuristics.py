@@ -121,6 +121,18 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             local_search(Schedule.of("1", "2", "3"), profile, Objective.SUM_DEVIATION, max_steps=-1)
 
+    def test_bool_cap_rejected(self, example):
+        # True used to cap the descent at one step
+        _, profile = example
+        with pytest.raises(ValueError):
+            local_search(Schedule.of("3", "2", "1"), profile, Objective.SUM_DEVIATION, max_steps=True)
+
+    def test_non_integer_cap_rejected(self, example):
+        # 2.5 used to cap the descent at three steps
+        _, profile = example
+        with pytest.raises(ValueError):
+            local_search(Schedule.of("3", "2", "1"), profile, Objective.SUM_DEVIATION, max_steps=2.5)
+
     def test_scores_strictly_decrease_along_the_trace(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
