@@ -58,7 +58,6 @@ def pta_condorcet_constraints(profile: PreferenceProfile) -> tuple[CondorcetCons
     least p_a * v, compared exactly in integers.  Opposite constraints can
     both bind only when both comparisons are exact ties.
     """
-    require_valid_profile(profile)
     tasks = profile.tasks
     counts = pairwise_counts(profile)
     v = profile.voter_count
@@ -89,7 +88,6 @@ def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
     ``None``) or is a DAG, in which case every linear extension works and
     the lexicographically least one is returned.
     """
-    require_valid_profile(profile)
     tasks = profile.tasks
     n = tasks.n
     after_lists: list[list[int]] = [[] for _ in range(n)]
@@ -115,7 +113,6 @@ def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
 
 def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
     """Ordered pairs every single voter schedules the same way."""
-    require_valid_profile(profile)
     tasks = profile.tasks
     counts = pairwise_counts(profile)
     v = profile.voter_count

@@ -15,10 +15,11 @@ import csv
 import io as stringio
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import product
 from math import inf
 from statistics import fmean
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,19 +37,6 @@ from .model import Objective
 from .rules import EXACT_RULES, RULE_NAMES, apply_rule
 from .solver import enumerate_optima, solve_exact
 
-CSV_HEADER = (
-    "model",
-    "n",
-    "v",
-    "rule",
-    "metric",
-    "mean_ratio",
-    "violation_rate",
-    "unique_fraction",
-    "mean_time",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class ReportRow:
     """One aggregated result line, keyed by (model, n, v, rule, metric)."""
@@ -62,6 +50,9 @@ class ReportRow:
     violation_rate: float | None = None
     unique_fraction: float | None = None
     mean_time: float | None = None
+
+
+CSV_HEADER = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -78,39 +69,14 @@ class ExperimentReport:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    row.n,
-                    row.v,
-                    row.rule,
-                    row.metric,
-                    _cell(row.mean_ratio),
-                    _cell(row.violation_rate),
-                    _cell(row.unique_fraction),
-                    _cell(row.mean_time),
-                ]
-            )
+            writer.writerow([_cell(value) for value in asdict(row).values()])
         return buffer.getvalue()
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "command": self.command,
             "params": self.params,
-            "rows": [
-                {
-                    "model": r.model,
-                    "n": r.n,
-                    "v": r.v,
-                    "rule": r.rule,
-                    "metric": r.metric,
-                    "mean_ratio": r.mean_ratio,
-                    "violation_rate": r.violation_rate,
-                    "unique_fraction": r.unique_fraction,
-                    "mean_time": r.mean_time,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "instances": list(self.instances),
         }
 
@@ -122,6 +88,25 @@ def instance_seed(base: int, *key: int) -> int:
     """Deterministic child seed for one instance of one experiment cell."""
     entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _cells(models, ns, vs, instances, seed, length_range):
+    """The seeded corpus shared by the pipelines, one cell per (model, n, v).
+
+    Yields ``(model, n, v, draws)``.  ``draws`` yields ``(child, tasks,
+    profile)`` for each instance ``i`` of the cell, generated from the
+    child seed ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a
+    cell's instances do not depend on which other cells are run.
+    """
+    _require_count(instances)
+
+    def draws(model, n, v):
+        for i in range(instances):
+            child = instance_seed(seed, MODELS.index(model), n, v, i)
+            yield (child, *generate(GenSpec(n, v, model, length_range, child)))
+
+    for model, n, v in product(models, ns, vs):
+        yield model, n, v, draws(model, n, v)
 
 
 def run_compare(
@@ -142,44 +127,41 @@ def run_compare(
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model in models:
-        for n in ns:
-            ratios = {rule: {m: [] for m in EXACT_RULES} for rule in EXACT_RULES}
-            times = {rule: [] for rule in EXACT_RULES}
-            for i in range(instances):
-                child = instance_seed(seed, MODELS.index(model), n, v, i)
-                tasks, profile = generate(GenSpec(n, v, model, length_range, child))
-                reports = {
-                    rule: solve_exact(tasks, profile, objective)
-                    for rule, objective in EXACT_RULES.items()
-                }
-                compiled = _compile_profile(profile)
-                counts = _pair_counts(compiled)
-                detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
-                for rule, rep in reports.items():
-                    times[rule].append(rep.wall_time_s)
-                    detail["ratios"][rule] = {}
-                    for metric_rule, objective in EXACT_RULES.items():
-                        value = _score_compiled(rep.schedule, compiled, objective, counts)
-                        ratio = _ratio(value, reports[metric_rule].optimal_score)
-                        ratios[rule][metric_rule].append(ratio)
-                        detail["ratios"][rule][metric_rule] = ratio
-                if include_times:
-                    detail["times"] = {rule: times[rule][-1] for rule in EXACT_RULES}
-                details.append(detail)
-            for rule in EXACT_RULES:
+    for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
+        ratios = {rule: {m: [] for m in EXACT_RULES} for rule in EXACT_RULES}
+        times = {rule: [] for rule in EXACT_RULES}
+        for child, tasks, profile in draws:
+            reports = {
+                rule: solve_exact(tasks, profile, objective)
+                for rule, objective in EXACT_RULES.items()
+            }
+            compiled = _compile_profile(profile)
+            counts = _pair_counts(compiled)
+            detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
+            for rule, rep in reports.items():
+                times[rule].append(rep.wall_time_s)
+                detail["ratios"][rule] = {}
                 for metric_rule, objective in EXACT_RULES.items():
-                    rows.append(
-                        ReportRow(
-                            model,
-                            n,
-                            v,
-                            rule,
-                            objective.value,
-                            mean_ratio=fmean(ratios[rule][metric_rule]),
-                            mean_time=fmean(times[rule]) if include_times else None,
-                        )
+                    value = _score_compiled(rep.schedule, compiled, objective, counts)
+                    ratio = _ratio(value, reports[metric_rule].optimal_score)
+                    ratios[rule][metric_rule].append(ratio)
+                    detail["ratios"][rule][metric_rule] = ratio
+            if include_times:
+                detail["times"] = {rule: times[rule][-1] for rule in EXACT_RULES}
+            details.append(detail)
+        for rule in EXACT_RULES:
+            for metric_rule, objective in EXACT_RULES.items():
+                rows.append(
+                    ReportRow(
+                        model,
+                        n,
+                        v,
+                        rule,
+                        objective.value,
+                        mean_ratio=fmean(ratios[rule][metric_rule]),
+                        mean_time=_mean_time(times[rule], include_times),
                     )
+                )
     params = {
         "models": list(models),
         "ns": list(ns),
@@ -204,9 +186,8 @@ def run_lmt_eval(
     model = canonical_model(model)
     pre, post, t_lmt, t_ls, t_exact = [], [], [], [], []
     details: list[dict[str, Any]] = []
-    for i in range(instances):
-        child = instance_seed(seed, MODELS.index(model), n, v, i)
-        tasks, profile = generate(GenSpec(n, v, model, length_range, child))
+    ((_, _, _, draws),) = _cells((model,), (n,), (v,), instances, seed, length_range)
+    for child, tasks, profile in draws:
         exact = solve_exact(tasks, profile, Objective.SUM_DEVIATION)
 
         started = time.perf_counter()
@@ -270,12 +251,13 @@ def run_lrm_audit(
     value, a harsher perturbation that roughly triples the violation rate
     of the deviation rule.
     """
+    _require_count(instances)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
     per_model: dict[str, dict[str, int]] = {m: {r: 0 for r in EXACT_RULES} for m in MODELS}
     totals: dict[str, int] = {m: 0 for m in MODELS}
     details: list[dict[str, Any]] = []
-    started = time.perf_counter()
+    seconds: list[float] = []
     for i in range(instances):
         model = MODELS[0] if i < (instances + 1) // 2 else MODELS[1]
         chooser = np.random.default_rng(instance_seed(seed, i, 0xC0FFEE))
@@ -285,6 +267,7 @@ def run_lrm_audit(
             reducible = [tid for tid in tasks.ids if tasks.length(tid) >= 2]
             if reducible:
                 break
+        started = time.perf_counter()
         target = reducible[int(chooser.integers(len(reducible)))]
         if reduction == "unit":
             reduced_length = tasks.length(target) - 1
@@ -309,7 +292,7 @@ def run_lrm_audit(
                     "start_after": verdict.witness["start_after"],
                 }
         details.append(detail)
-    elapsed = time.perf_counter() - started
+        seconds.append(time.perf_counter() - started)
 
     rows: list[ReportRow] = []
     for model in MODELS:
@@ -336,7 +319,7 @@ def run_lrm_audit(
                 rule,
                 "length-reduction-monotonicity",
                 violation_rate=violations / instances,
-                mean_time=(elapsed / instances) if include_times else None,
+                mean_time=_mean_time(seconds, include_times),
             )
         )
     params = {
@@ -363,34 +346,30 @@ def run_uniqueness_audit(
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model in models:
-        for n in ns:
-            for v in vs:
-                unique = {rule: 0 for rule in EXACT_RULES}
-                times = {rule: [] for rule in EXACT_RULES}
-                for i in range(instances):
-                    child = instance_seed(seed, MODELS.index(model), n, v, i)
-                    tasks, profile = generate(GenSpec(n, v, model, length_range, child))
-                    detail = {"model": model, "n": n, "v": v, "seed": child, "optimum_count": {}}
-                    for rule, objective in EXACT_RULES.items():
-                        report = solve_exact(tasks, profile, objective)
-                        times[rule].append(report.wall_time_s)
-                        detail["optimum_count"][rule] = report.optimum_count
-                        if report.optimum_count == 1:
-                            unique[rule] += 1
-                    details.append(detail)
-                for rule in EXACT_RULES:
-                    rows.append(
-                        ReportRow(
-                            model,
-                            n,
-                            v,
-                            rule,
-                            "uniqueness",
-                            unique_fraction=unique[rule] / instances,
-                            mean_time=fmean(times[rule]) if include_times else None,
-                        )
-                    )
+    for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
+        unique = {rule: 0 for rule in EXACT_RULES}
+        times = {rule: [] for rule in EXACT_RULES}
+        for child, tasks, profile in draws:
+            detail = {"model": model, "n": n, "v": v, "seed": child, "optimum_count": {}}
+            for rule, objective in EXACT_RULES.items():
+                report = solve_exact(tasks, profile, objective)
+                times[rule].append(report.wall_time_s)
+                detail["optimum_count"][rule] = report.optimum_count
+                if report.optimum_count == 1:
+                    unique[rule] += 1
+            details.append(detail)
+        for rule in EXACT_RULES:
+            rows.append(
+                ReportRow(
+                    model,
+                    n,
+                    v,
+                    rule,
+                    "uniqueness",
+                    unique_fraction=unique[rule] / instances,
+                    mean_time=_mean_time(times[rule], include_times),
+                )
+            )
     params = {
         "models": list(models),
         "ns": list(ns),
@@ -421,97 +400,89 @@ def run_audit_axioms(
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    started = time.perf_counter()
-    for model in models:
-        for n in ns:
-            applicable = 0
-            condorcet_violations = {rule: 0 for rule in EXACT_RULES}
-            all_optima_checked = 0
-            all_optima_violations = 0
-            unanimity_violations = {rule: 0 for rule in EXACT_RULES}
-            for i in range(instances):
-                child = instance_seed(seed, MODELS.index(model), n, v, i)
-                tasks, profile = generate(GenSpec(n, v, model, length_range, child))
-                consistent = find_pta_condorcet_schedule(profile)
-                detail = {
-                    "model": model,
-                    "n": n,
-                    "v": v,
-                    "seed": child,
-                    "has_consistent_schedule": consistent is not None,
-                    "rules": {},
-                }
-                for rule, objective in EXACT_RULES.items():
-                    schedule = apply_rule(rule, tasks, profile)
-                    entry: dict[str, Any] = {}
-                    if consistent is not None:
-                        verdict = is_pta_condorcet_consistent(schedule, profile)
-                        entry["pta_condorcet"] = verdict.holds
-                        if not verdict.holds:
-                            condorcet_violations[rule] += 1
-                    unanimity = check_unanimity(schedule, profile)
-                    entry["unanimity"] = unanimity.holds
-                    if not unanimity.holds:
-                        unanimity_violations[rule] += 1
-                    detail["rules"][rule] = entry
+    seconds: list[float] = []
+    for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
+        applicable = 0
+        condorcet_violations = {rule: 0 for rule in EXACT_RULES}
+        all_optima_checked = 0
+        all_optima_violations = 0
+        unanimity_violations = {rule: 0 for rule in EXACT_RULES}
+        for child, tasks, profile in draws:
+            started = time.perf_counter()
+            consistent = find_pta_condorcet_schedule(profile)
+            detail = {
+                "model": model,
+                "n": n,
+                "v": v,
+                "seed": child,
+                "has_consistent_schedule": consistent is not None,
+                "rules": {},
+            }
+            for rule, objective in EXACT_RULES.items():
+                schedule = apply_rule(rule, tasks, profile)
+                entry: dict[str, Any] = {}
                 if consistent is not None:
-                    applicable += 1
-                    optima, complete = enumerate_optima(
-                        tasks, profile, Objective.PTA_KENDALL_TAU, cap
-                    )
-                    if complete:
-                        all_optima_checked += 1
-                        bad = [
-                            s
-                            for s in optima
-                            if not is_pta_condorcet_consistent(s, profile).holds
-                        ]
-                        detail["kemeny_optima_consistent"] = not bad
-                        if bad:
-                            all_optima_violations += 1
-                    else:
-                        detail["kemeny_optima_consistent"] = None
-                details.append(detail)
-            for rule in EXACT_RULES:
-                rows.append(
-                    ReportRow(
-                        model,
-                        n,
-                        v,
-                        rule,
-                        "pta-condorcet",
-                        violation_rate=(condorcet_violations[rule] / applicable) if applicable else None,
-                    )
+                    verdict = is_pta_condorcet_consistent(schedule, profile)
+                    entry["pta_condorcet"] = verdict.holds
+                    if not verdict.holds:
+                        condorcet_violations[rule] += 1
+                unanimity = check_unanimity(schedule, profile)
+                entry["unanimity"] = unanimity.holds
+                if not unanimity.holds:
+                    unanimity_violations[rule] += 1
+                detail["rules"][rule] = entry
+            if consistent is not None:
+                applicable += 1
+                optima, complete = enumerate_optima(
+                    tasks, profile, Objective.PTA_KENDALL_TAU, cap
                 )
-                rows.append(
-                    ReportRow(
-                        model,
-                        n,
-                        v,
-                        rule,
-                        "unanimity",
-                        violation_rate=unanimity_violations[rule] / instances,
-                    )
-                )
+                if complete:
+                    all_optima_checked += 1
+                    bad = [
+                        s
+                        for s in optima
+                        if not is_pta_condorcet_consistent(s, profile).holds
+                    ]
+                    detail["kemeny_optima_consistent"] = not bad
+                    if bad:
+                        all_optima_violations += 1
+                else:
+                    detail["kemeny_optima_consistent"] = None
+            details.append(detail)
+            seconds.append(time.perf_counter() - started)
+        for rule in EXACT_RULES:
             rows.append(
                 ReportRow(
                     model,
                     n,
                     v,
-                    "pta-kemeny",
-                    "pta-condorcet-all-optima",
-                    violation_rate=(all_optima_violations / all_optima_checked) if all_optima_checked else None,
+                    rule,
+                    "pta-condorcet",
+                    violation_rate=(condorcet_violations[rule] / applicable) if applicable else None,
                 )
             )
-    elapsed = time.perf_counter() - started
-    if include_times:
-        per_instance = elapsed / max(1, len(models) * len(ns) * instances)
-        rows = [
-            ReportRow(r.model, r.n, r.v, r.rule, r.metric, r.mean_ratio, r.violation_rate, r.unique_fraction, per_instance)
-            if r.metric == "pta-condorcet-all-optima"
-            else r
-            for r in rows
-        ]
+            rows.append(
+                ReportRow(
+                    model,
+                    n,
+                    v,
+                    rule,
+                    "unanimity",
+                    violation_rate=unanimity_violations[rule] / instances,
+                )
+            )
+        rows.append(
+            ReportRow(
+                model,
+                n,
+                v,
+                "pta-kemeny",
+                "pta-condorcet-all-optima",
+                violation_rate=(all_optima_violations / all_optima_checked) if all_optima_checked else None,
+            )
+        )
+    per_instance = _mean_time(seconds, include_times)
+    rows = [replace(r, mean_time=per_instance) if r.metric == "pta-condorcet-all-optima" else r for r in rows]
     params = {
         "models": list(models),
         "ns": list(ns),
@@ -540,25 +511,19 @@ def run_bench(
             raise InvalidSpecError(f"unknown rule {rule!r}")
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model in models:
-        for n in ns:
-            for v in vs:
-                times = {rule: [] for rule in rules}
-                for i in range(instances):
-                    child = instance_seed(seed, MODELS.index(model), n, v, i)
-                    tasks, profile = generate(GenSpec(n, v, model, length_range, child))
-                    detail = {"model": model, "n": n, "v": v, "seed": child, "times": {}}
-                    for rule in rules:
-                        started = time.perf_counter()
-                        apply_rule(rule, tasks, profile)
-                        took = time.perf_counter() - started
-                        times[rule].append(took)
-                        detail["times"][rule] = took
-                    details.append(detail)
-                for rule in rules:
-                    rows.append(
-                        ReportRow(model, n, v, rule, "wall-time", mean_time=fmean(times[rule]))
-                    )
+    for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
+        times = {rule: [] for rule in rules}
+        for child, tasks, profile in draws:
+            detail = {"model": model, "n": n, "v": v, "seed": child, "times": {}}
+            for rule in rules:
+                started = time.perf_counter()
+                apply_rule(rule, tasks, profile)
+                took = time.perf_counter() - started
+                times[rule].append(took)
+                detail["times"][rule] = took
+            details.append(detail)
+        for rule in rules:
+            rows.append(ReportRow(model, n, v, rule, "wall-time", mean_time=fmean(times[rule])))
     params = {
         "models": list(models),
         "ns": list(ns),
@@ -571,10 +536,13 @@ def run_bench(
     return ExperimentReport("bench", params, tuple(rows), tuple(details))
 
 
-def _cell(value: float | None) -> str:
+def _cell(value: Any) -> Any:
+    # statistics print with six decimals, inapplicable columns as blanks
     if value is None:
         return ""
-    return format(value, ".6f")
+    if isinstance(value, float):
+        return format(value, ".6f")
+    return value
 
 
 def _ratio(value: int, optimum: int) -> float:
@@ -583,5 +551,11 @@ def _ratio(value: int, optimum: int) -> float:
     return value / optimum
 
 
-def _mean_time(values: Iterable[float], include: bool) -> float | None:
-    return fmean(values) if include else None
+def _mean_time(seconds: Sequence[float], include: bool) -> float | None:
+    # an empty corpus (no models or sizes requested) has no time to report
+    return fmean(seconds) if include and seconds else None
+
+
+def _require_count(instances: int) -> None:
+    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
+        raise InvalidSpecError(f"instances must be a positive integer, got {instances!r}")

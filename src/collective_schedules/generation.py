@@ -61,14 +61,14 @@ class GenSpec:
     utilities: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InvalidSpecError(f"need at least one task, got n={self.n!r}")
-        if not isinstance(self.v, int) or self.v < 1:
+        if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 1:
             raise InvalidSpecError(f"need at least one voter, got v={self.v!r}")
         if self.model not in MODELS:
             raise InvalidSpecError(f"unknown ballot model {self.model!r}")
         lo, hi = self.length_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
+        if any(not isinstance(b, int) or isinstance(b, bool) for b in (lo, hi)) or not 1 <= lo <= hi:
             raise InvalidSpecError(f"bad length range {self.length_range!r}")
         if self.utilities is not None:
             if self.model != MODEL_PLACKETT_LUCE:

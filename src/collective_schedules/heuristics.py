@@ -9,12 +9,11 @@ get) but together they land within a couple percent on random instances.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import MismatchedTaskSetError
-from .metrics import _compile_profile, _completions_by_index, _due_prefix_tables, _pair_counts, _pta_kernel
-from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation
+from .metrics import _compile_profile, _completions_by_index, _due_cost, _due_prefix_tables, _pair_counts, _pta_kernel
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, _require_same_tasks
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +56,7 @@ def lmt(tasks: TaskSet, profile: PreferenceProfile) -> Schedule:
 
     Ties go to the shorter task, then to the smaller task id.
     """
-    if tasks != profile.tasks:
-        raise MismatchedTaskSetError("profile was built over a different task set")
+    _require_same_tasks(tasks, profile)
     medians = median_completion_times(profile)
     order = sorted(tasks.ids, key=lambda tid: (medians[tid], tasks.length(tid), tid))
     return Schedule(tuple(order))
@@ -104,19 +102,7 @@ def local_search(
             return lengths[b] * counts[a][b] - lengths[a] * counts[b][a]
 
     else:
-        table = _due_prefix_tables(compiled)
-        tardy_only = objective is Objective.SUM_TARDINESS
-
-        def cost(i: int, finish: int) -> int:
-            # task i's share of the score when it completes at `finish`;
-            # the same formula as the exact solver's step
-            dues, cum_mult, cum_due, total_mult, total_due = table[i]
-            r = bisect_right(dues, finish)
-            late = finish * cum_mult[r] - cum_due[r]
-            if tardy_only:
-                return late
-            return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
-
+        cost = _due_cost(compiled, objective is Objective.SUM_TARDINESS)
         current_score = sum(cost(i, done) for i, done in enumerate(_completions_by_index(order, lengths)))
 
         def swap_delta(start: int, a: int, b: int) -> int:

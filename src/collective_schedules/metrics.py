@@ -23,6 +23,7 @@ distances between two schedules; with unit-length tasks they coincide with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import MismatchedTaskSetError
@@ -169,6 +170,22 @@ def _due_prefix_tables(compiled: CompiledProfile):
         sorted_dues = [d for d, _ in pairs]
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
     return tables
+
+
+def _due_cost(compiled: CompiledProfile, tardy_only: bool):
+    """``cost(i, finish)``: task ``i``'s deviation (tardiness if ``tardy_only``)
+    when it completes at ``finish``, in O(log groups) from the due tables."""
+    table = _due_prefix_tables(compiled)
+
+    def cost(i: int, finish: int) -> int:
+        dues, cum_mult, cum_due, total_mult, total_due = table[i]
+        r = bisect_right(dues, finish)
+        late = finish * cum_mult[r] - cum_due[r]
+        if tardy_only:
+            return late
+        return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
+
+    return cost
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:

@@ -275,3 +275,8 @@ def _require_permutation(schedule: Schedule, tasks: TaskSet) -> None:
         seen.add(tid)
     if len(seen) != tasks.n:
         raise MismatchedTaskSetError("schedule does not cover the whole task set")
+
+
+def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:
+    if tasks != profile.tasks:
+        raise MismatchedTaskSetError("profile was built over a different task set")

@@ -19,22 +19,21 @@ smallest.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .errors import MismatchedTaskSetError, TooManyTasksError
+from .errors import TooManyTasksError
 from .metrics import (
     _compile_profile,
     _completions_by_index,
     _deviation_kernel,
-    _due_prefix_tables,
+    _due_cost,
     _pair_counts,
     _pta_kernel,
     _tardiness_kernel,
 )
-from .model import Objective, PreferenceProfile, Schedule, TaskSet
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_same_tasks
 
 ORACLE_MAX_TASKS = 9
 
@@ -44,22 +43,21 @@ class SolveOptions:
     """Knobs for :func:`solve_exact`.
 
     ``optimum_cap`` bounds only the enumerated ``optima`` list; the optimum
-    count itself is always exact.  ``tie_break`` currently admits a single
-    policy, the lexicographic one described in the module docstring.
+    count itself is always exact.  Ties always break lexicographically, as
+    described in the module docstring.
     """
 
     enumerate_all: bool = False
     optimum_cap: int = 1000
-    tie_break: str = "lexicographic"
     max_tasks: int = 20
 
     def __post_init__(self) -> None:
-        if self.optimum_cap < 1:
-            raise ValueError("optimum_cap must be at least 1")
-        if self.tie_break != "lexicographic":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
-        if self.max_tasks < 1:
-            raise ValueError("max_tasks must be at least 1")
+        for name in ("optimum_cap", "max_tasks"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,17 +170,10 @@ def solve_exact(
             return lengths[i] * sum(col[j] for j in rem if j != i)
 
     else:
-        table = _due_prefix_tables(compiled)
-        tardy_only = objective is Objective.SUM_TARDINESS
+        cost = _due_cost(compiled, objective is Objective.SUM_TARDINESS)
 
         def step(mask: int, i: int, rem: list[int]) -> int:
-            finish = load[mask] + lengths[i]
-            dues, cum_mult, cum_due, total_mult, total_due = table[i]
-            r = bisect_right(dues, finish)
-            late = finish * cum_mult[r] - cum_due[r]
-            if tardy_only:
-                return late
-            return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
+            return cost(i, load[mask] + lengths[i])
 
     # best completion cost for every prefix set, filled from the full set down
     h = [0] * (full + 1)
@@ -263,8 +254,3 @@ def _enumerate(mask, prefix, full, bit, h, step, ids, n, cap, found) -> bool:
             if not _enumerate(mask | bit[i], prefix + [ids[i]], full, bit, h, step, ids, n, cap, found):
                 return False
     return True
-
-
-def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:
-    if tasks != profile.tasks:
-        raise MismatchedTaskSetError("profile was built over a different task set")

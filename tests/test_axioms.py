@@ -3,6 +3,7 @@ start-time monotonicity probes."""
 
 import pytest
 
+from collective_schedules import model as model_module
 from collective_schedules import (
     CondorcetConstraint,
     GenSpec,
@@ -93,6 +94,22 @@ class TestPrecedenceConstraints:
             for b in tasks.ids:
                 if a != b:
                     assert frozenset((a, b)) in constrained
+
+    @pytest.mark.parametrize(
+        "check", [pta_condorcet_constraints, find_pta_condorcet_schedule, unanimous_pairs]
+    )
+    def test_validates_the_profile_once(self, check, monkeypatch, example):
+        calls = []
+        validate = model_module.validate_profile
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "validate_profile", counting_validate)
+        _, profile = example
+        check(profile)
+        assert len(calls) == 1
 
 
 class TestUnanimity:

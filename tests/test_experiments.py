@@ -134,3 +134,13 @@ class TestRunBench:
     def test_unknown_rule_rejected(self):
         with pytest.raises(InvalidSpecError):
             run_bench(rules=("sum-dev", "bogus"), instances=1)
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [run_compare, run_lmt_eval, run_lrm_audit, run_uniqueness_audit, run_audit_axioms, run_bench],
+)
+@pytest.mark.parametrize("count", [True, 2.0, 0])
+def test_instance_count_must_be_a_positive_int(pipeline, count):
+    with pytest.raises(InvalidSpecError, match="instances"):
+        pipeline(instances=count)

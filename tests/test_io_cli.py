@@ -302,3 +302,11 @@ class TestCliExperiments:
     def test_bad_experiment_arguments_exit_2(self, capsys):
         assert main(["bench", "--rules", "bogus", "--tasks", "4"]) == 2
         assert main(["compare", "--models", " , ", "--tasks", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "command", ["compare", "lmt-eval", "lrm-audit", "uniqueness-audit", "audit-axioms", "bench"]
+    )
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_instance_count_below_one_exits_2(self, command, count, capsys):
+        assert main([command, "--instances", count]) == 2
+        assert "instances" in capsys.readouterr().err

@@ -116,7 +116,6 @@ class TestOptions:
         options = SolveOptions()
         assert not options.enumerate_all
         assert options.optimum_cap == 1000
-        assert options.tie_break == "lexicographic"
         assert options.max_tasks == 20
 
     @pytest.mark.parametrize(
@@ -124,7 +123,11 @@ class TestOptions:
         [
             {"optimum_cap": 0},
             {"max_tasks": 0},
-            {"tie_break": "random"},
+            pytest.param({"optimum_cap": True}, id="optimum_cap-bool"),
+            pytest.param({"optimum_cap": "3"}, id="optimum_cap-str"),
+            pytest.param({"optimum_cap": 2.5}, id="optimum_cap-float"),
+            pytest.param({"max_tasks": True}, id="max_tasks-bool"),
+            pytest.param({"max_tasks": 2.5}, id="max_tasks-float"),
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
