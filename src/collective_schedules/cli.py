@@ -23,9 +23,7 @@ from .errors import (
     UnknownTaskError,
 )
 from .experiments import (
-    ExperimentReport,
     run_audit_axioms,
-    run_bench,
     run_compare,
     run_lmt_eval,
     run_lrm_audit,
@@ -38,6 +36,48 @@ from .metrics import score
 from .model import Objective, Schedule, validate_profile
 from .rules import EXACT_RULES, RULE_NAMES, RULE_OBJECTIVE
 from .solver import SolveOptions, solve_exact
+
+
+# subcommand -> (pipeline, help, flags); each flag is (flag, pipeline
+# keyword, argparse options).  Every pipeline subcommand also takes
+# --seed, --out, --json and --no-times.
+_PIPELINES = {
+    "compare": (run_compare, "cross-evaluate the exact rules under all metrics", (
+        ("--models", "models", {"default": "u,c", "help": "comma-separated ballot models"}),
+        ("--tasks", "ns", {"default": "5,10", "help": "comma-separated task counts"}),
+        ("--voters", "v", {"type": int, "default": 100}),
+        ("--instances", "instances", {"type": int, "default": 50}),
+    )),
+    "lmt-eval": (run_lmt_eval, "median heuristic quality versus the exact optimum", (
+        ("--model", "model", {"default": "uniform"}),
+        ("--tasks", "n", {"type": int, "default": 10}),
+        ("--voters", "v", {"type": int, "default": 100}),
+        ("--instances", "instances", {"type": int, "default": 100}),
+    )),
+    "lrm-audit": (run_lrm_audit, "length-reduction monotonicity audit", (
+        ("--instances", "instances", {"type": int, "default": 1200}),
+        ("--tasks", "n", {"type": int, "default": 8}),
+        ("--voters", "v", {"type": int, "default": 50}),
+        ("--reduction", "reduction", {
+            "choices": ("unit", "uniform"),
+            "default": "unit",
+            "help": "shrink the target by one unit or to a uniformly drawn smaller length",
+        }),
+    )),
+    "uniqueness-audit": (run_uniqueness_audit, "how often each rule's optimum is unique", (
+        ("--models", "models", {"default": "u,c"}),
+        ("--tasks", "ns", {"default": "5,8"}),
+        ("--voters", "vs", {"default": "100,250", "help": "comma-separated voter counts"}),
+        ("--instances", "instances", {"type": int, "default": 100}),
+    )),
+    "audit-axioms": (run_audit_axioms, "precedence and unanimity verdicts per rule", (
+        ("--models", "models", {"default": "u,c"}),
+        ("--tasks", "ns", {"default": "6,8"}),
+        ("--voters", "v", {"type": int, "default": 50}),
+        ("--instances", "instances", {"type": int, "default": 100}),
+        ("--cap", "cap", {"type": int, "default": 1000}),
+    )),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,75 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="write the report here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
-    compare = sub.add_parser("compare", help="cross-evaluate the exact rules under all metrics")
-    compare.add_argument("--models", default="u,c", help="comma-separated ballot models")
-    compare.add_argument("--tasks", default="5,10", help="comma-separated task counts")
-    compare.add_argument("--voters", type=int, default=100)
-    compare.add_argument("--instances", type=int, default=50)
-    _experiment_flags(compare)
-    compare.set_defaults(handler=_cmd_compare)
-
-    lmt_eval = sub.add_parser("lmt-eval", help="median heuristic quality versus the exact optimum")
-    lmt_eval.add_argument("--model", default="uniform")
-    lmt_eval.add_argument("--tasks", type=int, default=10)
-    lmt_eval.add_argument("--voters", type=int, default=100)
-    lmt_eval.add_argument("--instances", type=int, default=100)
-    _experiment_flags(lmt_eval)
-    lmt_eval.set_defaults(handler=_cmd_lmt_eval)
-
-    lrm = sub.add_parser("lrm-audit", help="length-reduction monotonicity audit")
-    lrm.add_argument("--instances", type=int, default=1200)
-    lrm.add_argument("--tasks", type=int, default=8)
-    lrm.add_argument("--voters", type=int, default=50)
-    lrm.add_argument(
-        "--reduction",
-        choices=("unit", "uniform"),
-        default="unit",
-        help="shrink the target by one unit or to a uniformly drawn smaller length",
-    )
-    _experiment_flags(lrm)
-    lrm.set_defaults(handler=_cmd_lrm_audit)
-
-    uniq = sub.add_parser("uniqueness-audit", help="how often each rule's optimum is unique")
-    uniq.add_argument("--models", default="u,c")
-    uniq.add_argument("--tasks", default="5,8")
-    uniq.add_argument("--voters", default="100,250", help="comma-separated voter counts")
-    uniq.add_argument("--instances", type=int, default=100)
-    _experiment_flags(uniq)
-    uniq.set_defaults(handler=_cmd_uniqueness)
-
-    audit = sub.add_parser("audit-axioms", help="precedence and unanimity verdicts per rule")
-    audit.add_argument("--models", default="u,c")
-    audit.add_argument("--tasks", default="6,8")
-    audit.add_argument("--voters", type=int, default=50)
-    audit.add_argument("--instances", type=int, default=100)
-    audit.add_argument("--cap", type=int, default=1000)
-    _experiment_flags(audit)
-    audit.set_defaults(handler=_cmd_audit_axioms)
-
-    bench = sub.add_parser("bench", help="wall-time measurements per rule")
-    bench.add_argument("--models", default="u")
-    bench.add_argument("--tasks", default="8,10,12")
-    bench.add_argument("--voters", default="50")
-    bench.add_argument("--rules", default=",".join(RULE_NAMES))
-    bench.add_argument("--instances", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", help="write the CSV here instead of stdout")
-    bench.add_argument("--json", dest="json_out", help="write the JSON twin here")
-    bench.set_defaults(handler=_cmd_bench)
+    for command, (pipeline, help_text, flags) in _PIPELINES.items():
+        cmd = sub.add_parser(command, help=help_text)
+        keywords = {cmd.add_argument(flag, **options).dest: keyword for flag, keyword, options in flags}
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--out", help="write the CSV here instead of stdout")
+        cmd.add_argument("--json", dest="json_out", help="write the JSON twin here")
+        cmd.add_argument(
+            "--no-times",
+            action="store_true",
+            help="omit wall times so reports with equal seeds are byte-identical",
+        )
+        cmd.set_defaults(handler=_cmd_pipeline, pipeline=pipeline, keywords=keywords)
 
     return parser
-
-
-def _experiment_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", help="write the CSV here instead of stdout")
-    sub.add_argument("--json", dest="json_out", help="write the JSON twin here")
-    sub.add_argument(
-        "--no-times",
-        action="store_true",
-        help="omit wall times so reports with equal seeds are byte-identical",
-    )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -233,82 +218,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    report = run_compare(
-        models=_split(args.models),
-        ns=_int_list(args.tasks),
-        v=args.voters,
-        instances=args.instances,
-        seed=args.seed,
-        include_times=not args.no_times,
-    )
-    return _emit(report, args)
-
-
-def _cmd_lmt_eval(args: argparse.Namespace) -> int:
-    report = run_lmt_eval(
-        n=args.tasks,
-        v=args.voters,
-        instances=args.instances,
-        seed=args.seed,
-        model=args.model,
-        include_times=not args.no_times,
-    )
-    return _emit(report, args)
-
-
-def _cmd_lrm_audit(args: argparse.Namespace) -> int:
-    report = run_lrm_audit(
-        instances=args.instances,
-        n=args.tasks,
-        v=args.voters,
-        seed=args.seed,
-        include_times=not args.no_times,
-        reduction=args.reduction,
-    )
-    return _emit(report, args)
-
-
-def _cmd_uniqueness(args: argparse.Namespace) -> int:
-    report = run_uniqueness_audit(
-        models=_split(args.models),
-        ns=_int_list(args.tasks),
-        vs=_int_list(args.voters),
-        instances=args.instances,
-        seed=args.seed,
-        include_times=not args.no_times,
-    )
-    return _emit(report, args)
-
-
-def _cmd_audit_axioms(args: argparse.Namespace) -> int:
-    report = run_audit_axioms(
-        models=_split(args.models),
-        ns=_int_list(args.tasks),
-        v=args.voters,
-        instances=args.instances,
-        seed=args.seed,
-        cap=args.cap,
-        include_times=not args.no_times,
-    )
-    return _emit(report, args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = run_bench(
-        models=_split(args.models),
-        ns=_int_list(args.tasks),
-        vs=_int_list(args.voters),
-        rules=tuple(_split(args.rules)),
-        instances=args.instances,
-        seed=args.seed,
-    )
-    return _emit(report, args)
-
-
-def _emit(report: ExperimentReport, args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    kwargs = {keyword: getattr(args, dest) for dest, keyword in args.keywords.items()}
+    # comma-separated lists are parsed here, not by argparse, so that a bad
+    # list raises InvalidSpecError with its own message
+    for keyword, parse in (("models", _split), ("ns", _int_list), ("vs", _int_list)):
+        if keyword in kwargs:
+            kwargs[keyword] = parse(kwargs[keyword])
+    report = args.pipeline(**kwargs, seed=args.seed, include_times=not args.no_times)
     _write_text(args.out, report.to_csv())
-    if getattr(args, "json_out", None):
+    if args.json_out:
         Path(args.json_out).write_text(report.to_json())
     return 0
 

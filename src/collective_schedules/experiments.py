@@ -34,8 +34,8 @@ from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .metrics import _compile_profile, _pair_counts, _score_compiled
 from .model import Objective
-from .rules import EXACT_RULES, RULE_NAMES, apply_rule
-from .solver import enumerate_optima, solve_exact
+from .rules import EXACT_RULES, apply_rule
+from .solver import SolveOptions, solve_exact
 
 @dataclass(frozen=True, slots=True)
 class ReportRow:
@@ -254,6 +254,10 @@ def run_lrm_audit(
     _require_count(instances)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
+    _, longest = length_range
+    # GenSpec rejects every other malformed range
+    if isinstance(longest, int) and longest < 2:
+        raise InvalidSpecError(f"no task can be shortened with lengths in {length_range!r}")
     per_model: dict[str, dict[str, int]] = {m: {r: 0 for r in EXACT_RULES} for m in MODELS}
     totals: dict[str, int] = {m: 0 for m in MODELS}
     details: list[dict[str, Any]] = []
@@ -418,8 +422,12 @@ def run_audit_axioms(
                 "has_consistent_schedule": consistent is not None,
                 "rules": {},
             }
-            for rule, objective in EXACT_RULES.items():
-                schedule = apply_rule(rule, tasks, profile)
+            # pta-kemeny is solved once, for its schedule and, where a
+            # consistent schedule exists, for the optima checked below
+            options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent is not None else None
+            kemeny = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, options)
+            for rule in EXACT_RULES:
+                schedule = kemeny.schedule if rule == "pta-kemeny" else apply_rule(rule, tasks, profile)
                 entry: dict[str, Any] = {}
                 if consistent is not None:
                     verdict = is_pta_condorcet_consistent(schedule, profile)
@@ -433,14 +441,11 @@ def run_audit_axioms(
                 detail["rules"][rule] = entry
             if consistent is not None:
                 applicable += 1
-                optima, complete = enumerate_optima(
-                    tasks, profile, Objective.PTA_KENDALL_TAU, cap
-                )
-                if complete:
+                if kemeny.optima_complete:
                     all_optima_checked += 1
                     bad = [
                         s
-                        for s in optima
+                        for s in kemeny.optima
                         if not is_pta_condorcet_consistent(s, profile).holds
                     ]
                     detail["kemeny_optima_consistent"] = not bad
@@ -493,47 +498,6 @@ def run_audit_axioms(
         "length_range": list(length_range),
     }
     return ExperimentReport("audit-axioms", params, tuple(rows), tuple(details))
-
-
-def run_bench(
-    models: Sequence[str] = ("uniform",),
-    ns: Sequence[int] = (8, 10, 12),
-    vs: Sequence[int] = (50,),
-    rules: Sequence[str] = RULE_NAMES,
-    instances: int = 3,
-    seed: int = 0,
-    length_range: tuple[int, int] = (1, 10),
-) -> ExperimentReport:
-    """Wall-time measurements per rule over seeded instances."""
-    models = [canonical_model(m) for m in models]
-    for rule in rules:
-        if rule not in RULE_NAMES:
-            raise InvalidSpecError(f"unknown rule {rule!r}")
-    rows: list[ReportRow] = []
-    details: list[dict[str, Any]] = []
-    for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
-        times = {rule: [] for rule in rules}
-        for child, tasks, profile in draws:
-            detail = {"model": model, "n": n, "v": v, "seed": child, "times": {}}
-            for rule in rules:
-                started = time.perf_counter()
-                apply_rule(rule, tasks, profile)
-                took = time.perf_counter() - started
-                times[rule].append(took)
-                detail["times"][rule] = took
-            details.append(detail)
-        for rule in rules:
-            rows.append(ReportRow(model, n, v, rule, "wall-time", mean_time=fmean(times[rule])))
-    params = {
-        "models": list(models),
-        "ns": list(ns),
-        "vs": list(vs),
-        "rules": list(rules),
-        "instances": instances,
-        "seed": seed,
-        "length_range": list(length_range),
-    }
-    return ExperimentReport("bench", params, tuple(rows), tuple(details))
 
 
 def _cell(value: Any) -> Any:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 from .errors import TooManyTasksError
@@ -175,7 +175,8 @@ def solve_exact(
         def step(mask: int, i: int, rem: list[int]) -> int:
             return cost(i, load[mask] + lengths[i])
 
-    # best completion cost for every prefix set, filled from the full set down
+    # best completion cost and number of optimal completions for every
+    # prefix set, filled from the full set down
     h = [0] * (full + 1)
     ways = [0] * (full + 1)
     ways[full] = 1
@@ -185,34 +186,16 @@ def solve_exact(
         for i in rem:
             cand = step(mask, i, rem) + h[mask | bit[i]]
             if best is None or cand < best:
-                best = cand
+                best, count = cand, ways[mask | bit[i]]
+            elif cand == best:
+                count += ways[mask | bit[i]]
         h[mask] = best
-        total_ways = 0
-        for i in rem:
-            if step(mask, i, rem) + h[mask | bit[i]] == best:
-                total_ways += ways[mask | bit[i]]
-        ways[mask] = total_ways
+        ways[mask] = count
 
     ids = tasks.ids
-
-    # lexicographically least optimum: always take the smallest viable index
-    order: list[str] = []
-    mask = 0
-    while mask != full:
-        rem = [i for i in range(n) if not mask & bit[i]]
-        for i in rem:
-            if step(mask, i, rem) + h[mask | bit[i]] == h[mask]:
-                order.append(ids[i])
-                mask |= bit[i]
-                break
-    representative = Schedule(tuple(order))
-
-    optima: tuple[Schedule, ...] | None = None
-    complete = True
-    if options.enumerate_all:
-        found: list[Schedule] = []
-        complete = _enumerate(0, [], full, bit, h, step, ids, n, options.optimum_cap, found)
-        optima = tuple(found)
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, step))
+    optima = tuple(islice(walk, options.optimum_cap)) if options.enumerate_all else None
+    representative = optima[0] if optima is not None else next(walk)
 
     return SolveReport(
         objective=objective,
@@ -220,7 +203,7 @@ def solve_exact(
         schedule=representative,
         optimum_count=ways[0],
         optima=optima,
-        optima_complete=complete,
+        optima_complete=optima is None or len(optima) == ways[0],
         states_explored=full + 1,
         wall_time_s=time.perf_counter() - started,
     )
@@ -241,16 +224,26 @@ def enumerate_optima(
     return report.optima, report.optima_complete
 
 
-def _enumerate(mask, prefix, full, bit, h, step, ids, n, cap, found) -> bool:
-    """Depth-first walk over optimal extensions; False when cut at the cap."""
-    if mask == full:
-        if len(found) >= cap:
-            return False
-        found.append(Schedule(tuple(prefix)))
-        return True
-    rem = [i for i in range(n) if not mask & bit[i]]
-    for i in rem:
-        if step(mask, i, rem) + h[mask | bit[i]] == h[mask]:
-            if not _enumerate(mask | bit[i], prefix + [ids[i]], full, bit, h, step, ids, n, cap, found):
-                return False
-    return True
+def _optimal_orders(n, h, step):
+    """Every optimal order of task indices, lexicographically least first.
+
+    A depth-first walk over the transitions that keep the optimum, taking
+    the smallest viable index first.  It is a module-level function with an
+    explicit stack: a nested function that called itself would sit in a
+    reference cycle with its closure and keep the 2^n tables alive until
+    the cyclic collector ran.
+    """
+    full = (1 << n) - 1
+    stack = [(0, ())]
+    while stack:
+        mask, prefix = stack.pop()
+        if mask == full:
+            yield prefix
+            continue
+        rem = [i for i in range(n) if not mask & 1 << i]
+        # pushed largest first, so the smallest index is popped first
+        stack.extend(
+            (mask | 1 << i, prefix + (i,))
+            for i in reversed(rem)
+            if step(mask, i, rem) + h[mask | 1 << i] == h[mask]
+        )

@@ -4,17 +4,17 @@ import json
 
 import pytest
 
-from collective_schedules import InvalidSpecError
+from collective_schedules import InvalidSpecError, experiments, rules, solver
 from collective_schedules.experiments import (
     CSV_HEADER,
     instance_seed,
     run_audit_axioms,
-    run_bench,
     run_compare,
     run_lmt_eval,
     run_lrm_audit,
     run_uniqueness_audit,
 )
+from collective_schedules.solver import solve_exact
 
 
 class TestInstanceSeed:
@@ -97,6 +97,11 @@ class TestRunLrmAudit:
         with pytest.raises(InvalidSpecError):
             run_lrm_audit(instances=1, reduction="halve")
 
+    @pytest.mark.parametrize("length_range", [(1, 1), (0, 1)])
+    def test_lengths_that_cannot_shrink_rejected(self, length_range):
+        with pytest.raises(InvalidSpecError, match="shortened"):
+            run_lrm_audit(instances=1, n=3, v=3, length_range=length_range)
+
 
 class TestRunUniquenessAudit:
     def test_report_shape(self):
@@ -122,23 +127,24 @@ class TestRunAuditAxioms:
                        if r.metric == "pta-condorcet" and r.rule == "pta-kemeny"]
         assert kemeny_rows[0].violation_rate in (None, 0.0)
 
+    def test_one_exact_solve_per_rule_and_instance(self, monkeypatch):
+        calls = []
 
-class TestRunBench:
-    def test_rows(self):
-        report = run_bench(models=("u",), ns=(4,), vs=(5,), rules=("sum-dev", "lmt"),
-                           instances=1, seed=0)
-        assert [row.rule for row in report.rows] == ["sum-dev", "lmt"]
-        assert all(row.metric == "wall-time" for row in report.rows)
-        assert all(row.mean_time >= 0.0 for row in report.rows)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_exact(*args, **kwargs)
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            run_bench(rules=("sum-dev", "bogus"), instances=1)
+        for module in (solver, rules, experiments):
+            monkeypatch.setattr(module, "solve_exact", counting)
+        report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
+                                  include_times=False)
+        assert any(d["has_consistent_schedule"] for d in report.instances)
+        assert len(calls) == 3 * len(report.instances)
 
 
 @pytest.mark.parametrize(
     "pipeline",
-    [run_compare, run_lmt_eval, run_lrm_audit, run_uniqueness_audit, run_audit_axioms, run_bench],
+    [run_compare, run_lmt_eval, run_lrm_audit, run_uniqueness_audit, run_audit_axioms],
 )
 @pytest.mark.parametrize("count", [True, 2.0, 0])
 def test_instance_count_must_be_a_positive_int(pipeline, count):

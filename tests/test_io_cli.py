@@ -289,22 +289,11 @@ class TestCliExperiments:
         all_optima = [c for c in rows if c[4] == "pta-condorcet-all-optima"]
         assert all_optima[0][6] in ("", "0.000000")
 
-    def test_bench_rows(self, capsys):
-        argv = ["bench", "--models", "u", "--tasks", "4", "--voters", "5",
-                "--rules", "sum-dev,lmt", "--instances", "1"]
-        assert main(argv) == 0
-        rows = _csv_rows(capsys.readouterr().out)
-        assert [cells[3] for cells in rows] == ["sum-dev", "lmt"]
-        for cells in rows:
-            assert cells[4] == "wall-time"
-            assert float(cells[8]) >= 0.0
-
     def test_bad_experiment_arguments_exit_2(self, capsys):
-        assert main(["bench", "--rules", "bogus", "--tasks", "4"]) == 2
         assert main(["compare", "--models", " , ", "--tasks", "4"]) == 2
 
     @pytest.mark.parametrize(
-        "command", ["compare", "lmt-eval", "lrm-audit", "uniqueness-audit", "audit-axioms", "bench"]
+        "command", ["compare", "lmt-eval", "lrm-audit", "uniqueness-audit", "audit-axioms"]
     )
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_instance_count_below_one_exits_2(self, command, count, capsys):

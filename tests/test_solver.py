@@ -1,9 +1,12 @@
 """Exact solvers: optimal scores, tie-breaking, enumeration, and guards."""
 
+import gc
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_schedules import (
     GenSpec,
@@ -251,3 +254,47 @@ class TestReportShape:
             assert report.schedule.order == ("only",)
             assert report.optimal_score == 0
             assert report.optima == (Schedule.of("only"),)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to 7 tasks of one length and one or two voters: optima tie often."""
+    n = draw(st.integers(1, 7))
+    length = draw(st.integers(1, 3))
+    tasks = TaskSet.of(*((f"t{i}", length) for i in range(n)))
+    v = draw(st.sampled_from((1, 2)))
+    orders = [draw(st.permutations(tasks.ids)) for _ in range(v)]
+    return tasks, PreferenceProfile.from_orders(tasks, orders)
+
+
+class TestCappedEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(instance=tie_heavy_instances(), objective=st.sampled_from(list(Objective)))
+    def test_capped_optima_are_a_prefix_of_the_oracle(self, instance, objective):
+        tasks, profile = instance
+        oracle = brute_force_oracle(tasks, profile, objective)
+        count = oracle.optimum_count
+        for cap in range(1, count + 2):
+            report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
+            assert report.optimum_count == count
+            assert report.schedule == oracle.schedule
+            assert report.optima == oracle.optima[:cap]
+            assert report.optima_complete == (count <= cap)
+        plain = solve_exact(tasks, profile, objective)
+        assert plain.optima is None
+        assert plain.optima_complete
+
+
+class TestMemory:
+    def test_solve_leaves_no_reference_cycles(self):
+        # a cycle would keep the 2^n tables alive until the cyclic collector runs
+        tasks, profile = generate(GenSpec(6, 5, "uniform", (1, 3), 7))
+        gc.collect()
+        gc.disable()
+        try:
+            for objective in Objective:
+                for enumerate_all in (False, True):
+                    solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=enumerate_all))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
