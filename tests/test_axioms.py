@@ -1,7 +1,11 @@
 """Precedence constraints, unanimity, neutrality, reinforcement, and
 start-time monotonicity probes."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_schedules import model as model_module
 from collective_schedules import (
@@ -110,6 +114,47 @@ class TestPrecedenceConstraints:
         _, profile = example
         check(profile)
         assert len(calls) == 1
+
+
+@st.composite
+def tie_prone_profiles(draw):
+    """Up to 6 tasks of length 1-3, up to 4 groups of up to 5 voters.
+
+    Short lengths and few voters make exact threshold ties, where both
+    directions of a pair bind, common.
+    """
+    n = draw(st.integers(1, 6))
+    tasks = TaskSet.of(*((f"t{i}", draw(st.integers(1, 3))) for i in range(n)))
+    groups = draw(st.lists(st.tuples(st.permutations(tasks.ids), st.integers(1, 5)), min_size=1, max_size=4))
+    return PreferenceProfile.of(tasks, *groups)
+
+
+def _first_inverted(schedule, pairs):
+    """Index of the first (before, after) pair the schedule runs the other way."""
+    position = schedule.order.index
+    return next((k for k, (a, b) in enumerate(pairs) if position(a) > position(b)), None)
+
+
+class TestPrecedenceChecksAgainstEveryOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(profile=tie_prone_profiles(), data=st.data())
+    def test_consistent_order_and_witnesses(self, profile, data):
+        constraints = pta_condorcet_constraints(profile)
+        binding = [(c.before, c.after) for c in constraints]
+        orders = [Schedule(order) for order in permutations(profile.tasks.ids)]
+        consistent = [s for s in orders if _first_inverted(s, binding) is None]
+        # the binding pairs form a tournament, so at most one order obeys them
+        assert len(consistent) <= 1
+        assert find_pta_condorcet_schedule(profile) == (consistent[0] if consistent else None)
+
+        pairs = unanimous_pairs(profile)
+        for schedule in data.draw(st.lists(st.sampled_from(orders), min_size=1, max_size=5)):
+            verdict = is_pta_condorcet_consistent(schedule, profile)
+            k = _first_inverted(schedule, binding)
+            assert (verdict.holds, verdict.witness) == ((True, None) if k is None else (False, constraints[k]))
+            verdict = check_unanimity(schedule, profile)
+            k = _first_inverted(schedule, pairs)
+            assert (verdict.holds, verdict.witness) == ((True, None) if k is None else (False, pairs[k]))
 
 
 class TestUnanimity:
