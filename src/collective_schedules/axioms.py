@@ -14,7 +14,8 @@ the role of a Condorcet winner.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,12 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    completion_times,
     require_valid_profile,
     swap_tasks_in_profile,
 )
 from .rules import apply_rule
-from .solver import SolveOptions, enumerate_optima
+from .solver import enumerate_optima
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,41 +76,21 @@ def pta_condorcet_constraints(profile: PreferenceProfile) -> tuple[CondorcetCons
 
 def is_pta_condorcet_consistent(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
     """Does the schedule respect every binding precedence constraint?"""
-    positions = {tid: i for i, tid in enumerate(schedule.order)}
-    for constraint in pta_condorcet_constraints(profile):
-        if positions[constraint.before] > positions[constraint.after]:
-            return AxiomVerdict("pta-condorcet", False, constraint)
-    return AxiomVerdict("pta-condorcet", True)
+    constraints = {(c.before, c.after): c for c in pta_condorcet_constraints(profile)}
+    inverted = _first_inverted(schedule, profile.tasks, constraints)
+    return AxiomVerdict("pta-condorcet", inverted is None, constraints.get(inverted))
 
 
 def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
-    """A schedule satisfying every binding constraint, if one exists.
+    """The schedule satisfying every binding constraint, if one exists.
 
-    The constraint digraph either has a cycle (no consistent schedule, so
-    ``None``) or is a DAG, in which case every linear extension works and
-    the lexicographically least one is returned.
+    Every pair binds in at least one direction, and in both only on an
+    exact tie, so the constraints form a tournament.  A consistent schedule
+    exists only if that tournament is transitive, and is then its unique
+    linear extension; otherwise ``None``.
     """
-    tasks = profile.tasks
-    n = tasks.n
-    after_lists: list[list[int]] = [[] for _ in range(n)]
-    pending = [0] * n  # unsatisfied predecessors per task
-    for constraint in pta_condorcet_constraints(profile):
-        i, j = tasks.index(constraint.before), tasks.index(constraint.after)
-        after_lists[i].append(j)
-        pending[j] += 1
-    ready = [i for i in range(n) if pending[i] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(tasks.ids[i])
-        for j in after_lists[i]:
-            pending[j] -= 1
-            if pending[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != n:  # a cycle kept some tasks pending
-        return None
-    return Schedule(tuple(order))
+    binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
+    return _consistent_order(profile.tasks, binding)
 
 
 def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
@@ -126,11 +108,8 @@ def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
 
 def check_unanimity(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
     """Does the schedule keep every unanimously agreed precedence?"""
-    positions = {tid: i for i, tid in enumerate(schedule.order)}
-    for a, b in unanimous_pairs(profile):
-        if positions[a] > positions[b]:
-            return AxiomVerdict("unanimity", False, (a, b))
-    return AxiomVerdict("unanimity", True)
+    inverted = _first_inverted(schedule, profile.tasks, unanimous_pairs(profile))
+    return AxiomVerdict("unanimity", inverted is None, inverted)
 
 
 def lrm_probe(
@@ -138,7 +117,6 @@ def lrm_probe(
     rule: str | Objective,
     target: str,
     reduced_length: int,
-    options: SolveOptions | None = None,
 ) -> AxiomVerdict:
     """Length-reduction monotonicity: shortening a task must not delay it.
 
@@ -158,10 +136,10 @@ def lrm_probe(
     reduced_tasks = tasks.with_length(target, reduced_length)
     reduced_profile = PreferenceProfile(reduced_tasks, profile.groups)
 
-    before = apply_rule(rule, tasks, profile, options)
-    after = apply_rule(rule, reduced_tasks, reduced_profile, options)
-    start_before = _start_time(before, tasks, target)
-    start_after = _start_time(after, reduced_tasks, target)
+    before = apply_rule(rule, tasks, profile)
+    after = apply_rule(rule, reduced_tasks, reduced_profile)
+    start_before = completion_times(before, tasks)[target] - old_length
+    start_after = completion_times(after, reduced_tasks)[target] - reduced_length
     if start_after <= start_before:
         return AxiomVerdict("length-reduction-monotonicity", True)
     witness = {
@@ -250,10 +228,18 @@ def reinforcement_check(
     return AxiomVerdict("reinforcement", False, witness)
 
 
-def _start_time(schedule: Schedule, tasks: TaskSet, target: str) -> int:
-    elapsed = 0
-    for tid in schedule.order:
-        if tid == target:
-            return elapsed
-        elapsed += tasks.length(tid)
-    raise MismatchedTaskSetError(f"task {target!r} missing from schedule")
+def _first_inverted(
+    schedule: Schedule, tasks: TaskSet, precedences: Iterable[tuple[str, str]]
+) -> tuple[str, str] | None:
+    # completion times rise along a schedule, so they order its tasks, and
+    # computing them rejects a schedule that is not a permutation of tasks
+    finish = completion_times(schedule, tasks)
+    return next(((a, b) for a, b in precedences if finish[a] > finish[b]), None)
+
+
+def _consistent_order(tasks: TaskSet, binding: list[tuple[str, str]]) -> Schedule | None:
+    # in a transitive tournament the task at position k heads n-1-k arcs,
+    # so the order by that count is the only candidate
+    heads = Counter(a for a, _ in binding)
+    schedule = Schedule(tuple(sorted(tasks.ids, key=heads.__getitem__, reverse=True)))
+    return schedule if _first_inverted(schedule, tasks, binding) is None else None

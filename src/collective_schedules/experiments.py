@@ -24,10 +24,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .axioms import (
-    check_unanimity,
-    find_pta_condorcet_schedule,
-    is_pta_condorcet_consistent,
+    _consistent_order,
+    _first_inverted,
     lrm_probe,
+    pta_condorcet_constraints,
+    unanimous_pairs,
 )
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
@@ -98,7 +99,7 @@ def _cells(models, ns, vs, instances, seed, length_range):
     child seed ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a
     cell's instances do not depend on which other cells are run.
     """
-    _require_count(instances)
+    _require_count("instances", instances)
 
     def draws(model, n, v):
         for i in range(instances):
@@ -251,7 +252,7 @@ def run_lrm_audit(
     value, a harsher perturbation that roughly triples the violation rate
     of the deviation rule.
     """
-    _require_count(instances)
+    _require_count("instances", instances)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
     _, longest = length_range
@@ -401,61 +402,52 @@ def run_audit_axioms(
     consistent schedule exists.  For the pairwise rule, every enumerated
     optimum is checked, not just the tie-broken representative.
     """
+    _require_count("cap", cap)
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     seconds: list[float] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
-        applicable = 0
-        condorcet_violations = {rule: 0 for rule in EXACT_RULES}
-        all_optima_checked = 0
-        all_optima_violations = 0
-        unanimity_violations = {rule: 0 for rule in EXACT_RULES}
         for child, tasks, profile in draws:
             started = time.perf_counter()
-            consistent = find_pta_condorcet_schedule(profile)
+            binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
+            unanimous = unanimous_pairs(profile)
+            consistent = _consistent_order(tasks, binding) is not None
             detail = {
                 "model": model,
                 "n": n,
                 "v": v,
                 "seed": child,
-                "has_consistent_schedule": consistent is not None,
+                "has_consistent_schedule": consistent,
                 "rules": {},
             }
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
-            options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent is not None else None
+            options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent else None
             kemeny = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, options)
             for rule in EXACT_RULES:
                 schedule = kemeny.schedule if rule == "pta-kemeny" else apply_rule(rule, tasks, profile)
                 entry: dict[str, Any] = {}
-                if consistent is not None:
-                    verdict = is_pta_condorcet_consistent(schedule, profile)
-                    entry["pta_condorcet"] = verdict.holds
-                    if not verdict.holds:
-                        condorcet_violations[rule] += 1
-                unanimity = check_unanimity(schedule, profile)
-                entry["unanimity"] = unanimity.holds
-                if not unanimity.holds:
-                    unanimity_violations[rule] += 1
+                if consistent:
+                    entry["pta_condorcet"] = _first_inverted(schedule, tasks, binding) is None
+                entry["unanimity"] = _first_inverted(schedule, tasks, unanimous) is None
                 detail["rules"][rule] = entry
-            if consistent is not None:
-                applicable += 1
-                if kemeny.optima_complete:
-                    all_optima_checked += 1
-                    bad = [
-                        s
-                        for s in kemeny.optima
-                        if not is_pta_condorcet_consistent(s, profile).holds
-                    ]
-                    detail["kemeny_optima_consistent"] = not bad
-                    if bad:
-                        all_optima_violations += 1
-                else:
-                    detail["kemeny_optima_consistent"] = None
+            if consistent:
+                detail["kemeny_optima_consistent"] = (
+                    all(_first_inverted(s, tasks, binding) is None for s in kemeny.optima)
+                    if kemeny.optima_complete
+                    else None
+                )
             details.append(detail)
             seconds.append(time.perf_counter() - started)
+        # each draw appended one detail, so the cell's rates come from the last ones
+        cell = details[-instances:]
+        applicable = sum(d["has_consistent_schedule"] for d in cell)
+        optima_verdicts = [d.get("kemeny_optima_consistent") for d in cell]
+        optima_checked = len(optima_verdicts) - optima_verdicts.count(None)
         for rule in EXACT_RULES:
+            entries = [d["rules"][rule] for d in cell]
+            condorcet_violations = sum(e.get("pta_condorcet") is False for e in entries)
             rows.append(
                 ReportRow(
                     model,
@@ -463,7 +455,7 @@ def run_audit_axioms(
                     v,
                     rule,
                     "pta-condorcet",
-                    violation_rate=(condorcet_violations[rule] / applicable) if applicable else None,
+                    violation_rate=(condorcet_violations / applicable) if applicable else None,
                 )
             )
             rows.append(
@@ -473,7 +465,7 @@ def run_audit_axioms(
                     v,
                     rule,
                     "unanimity",
-                    violation_rate=unanimity_violations[rule] / instances,
+                    violation_rate=sum(not e["unanimity"] for e in entries) / instances,
                 )
             )
         rows.append(
@@ -483,7 +475,7 @@ def run_audit_axioms(
                 v,
                 "pta-kemeny",
                 "pta-condorcet-all-optima",
-                violation_rate=(all_optima_violations / all_optima_checked) if all_optima_checked else None,
+                violation_rate=(optima_verdicts.count(False) / optima_checked) if optima_checked else None,
             )
         )
     per_instance = _mean_time(seconds, include_times)
@@ -520,6 +512,6 @@ def _mean_time(seconds: Sequence[float], include: bool) -> float | None:
     return fmean(seconds) if include and seconds else None
 
 
-def _require_count(instances: int) -> None:
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
-        raise InvalidSpecError(f"instances must be a positive integer, got {instances!r}")
+def _require_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import InvalidSpecError
 from .heuristics import lmt, local_search
 from .model import Objective, PreferenceProfile, Schedule, TaskSet
-from .solver import SolveOptions, solve_exact
+from .solver import solve_exact
 
 EXACT_RULES: dict[str, Objective] = {
     "sum-dev": Objective.SUM_DEVIATION,
@@ -52,12 +52,11 @@ def apply_rule(
     rule: str | Objective,
     tasks: TaskSet,
     profile: PreferenceProfile,
-    options: SolveOptions | None = None,
 ) -> Schedule:
     """Run one rule and return its (tie-broken) schedule."""
     name = rule_name(rule)
     if name in EXACT_RULES:
-        return solve_exact(tasks, profile, EXACT_RULES[name], options).schedule
+        return solve_exact(tasks, profile, EXACT_RULES[name]).schedule
     start = lmt(tasks, profile)
     if name == "lmt":
         return start

@@ -17,6 +17,7 @@ from collective_schedules import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    UnknownTaskError,
     check_unanimity,
     find_pta_condorcet_schedule,
     generate,
@@ -129,10 +130,25 @@ def tie_prone_profiles(draw):
     return PreferenceProfile.of(tasks, *groups)
 
 
-def _first_inverted(schedule, pairs):
+def _first_inverted_index(schedule, pairs):
     """Index of the first (before, after) pair the schedule runs the other way."""
     position = schedule.order.index
     return next((k for k, (a, b) in enumerate(pairs) if position(a) > position(b)), None)
+
+
+@pytest.mark.parametrize("check", [is_pta_condorcet_consistent, check_unanimity])
+@pytest.mark.parametrize(
+    "order, error",
+    [
+        pytest.param(("1", "2"), MismatchedTaskSetError, id="missing"),
+        pytest.param(("1", "2", "3", "4"), UnknownTaskError, id="unknown-extra"),
+        pytest.param(("1", "1", "3"), MismatchedTaskSetError, id="repeated"),
+    ],
+)
+def test_precedence_checks_reject_a_non_permutation(check, order, error, example):
+    _, profile = example
+    with pytest.raises(error):
+        check(Schedule(order), profile)
 
 
 class TestPrecedenceChecksAgainstEveryOrder:
@@ -142,7 +158,7 @@ class TestPrecedenceChecksAgainstEveryOrder:
         constraints = pta_condorcet_constraints(profile)
         binding = [(c.before, c.after) for c in constraints]
         orders = [Schedule(order) for order in permutations(profile.tasks.ids)]
-        consistent = [s for s in orders if _first_inverted(s, binding) is None]
+        consistent = [s for s in orders if _first_inverted_index(s, binding) is None]
         # the binding pairs form a tournament, so at most one order obeys them
         assert len(consistent) <= 1
         assert find_pta_condorcet_schedule(profile) == (consistent[0] if consistent else None)
@@ -150,10 +166,10 @@ class TestPrecedenceChecksAgainstEveryOrder:
         pairs = unanimous_pairs(profile)
         for schedule in data.draw(st.lists(st.sampled_from(orders), min_size=1, max_size=5)):
             verdict = is_pta_condorcet_consistent(schedule, profile)
-            k = _first_inverted(schedule, binding)
+            k = _first_inverted_index(schedule, binding)
             assert (verdict.holds, verdict.witness) == ((True, None) if k is None else (False, constraints[k]))
             verdict = check_unanimity(schedule, profile)
-            k = _first_inverted(schedule, pairs)
+            k = _first_inverted_index(schedule, pairs)
             assert (verdict.holds, verdict.witness) == ((True, None) if k is None else (False, pairs[k]))
 
 

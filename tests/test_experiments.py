@@ -141,6 +141,30 @@ class TestRunAuditAxioms:
         assert any(d["has_consistent_schedule"] for d in report.instances)
         assert len(calls) == 3 * len(report.instances)
 
+    def test_precedence_lists_built_once_per_instance(self, monkeypatch):
+        calls = {"pta_condorcet_constraints": 0, "unanimous_pairs": 0}
+        for name in calls:
+            original = getattr(experiments, name)
+
+            def counting(profile, name=name, original=original):
+                calls[name] += 1
+                return original(profile)
+
+            monkeypatch.setattr(experiments, name, counting)
+        report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
+                                  include_times=False)
+        assert any(d["has_consistent_schedule"] for d in report.instances)
+        assert calls == {name: len(report.instances) for name in calls}
+
+    @pytest.mark.parametrize("cap", [0, -3, True, 2.0])
+    def test_cap_must_be_a_positive_int(self, cap):
+        # no instance of this corpus has a consistent schedule, so no
+        # enumeration would ever read the cap
+        report = run_audit_axioms(models=("u",), ns=(6,), instances=1, include_times=False)
+        assert not any(d["has_consistent_schedule"] for d in report.instances)
+        with pytest.raises(InvalidSpecError, match="cap"):
+            run_audit_axioms(models=("u",), ns=(6,), instances=1, cap=cap)
+
 
 @pytest.mark.parametrize(
     "pipeline",

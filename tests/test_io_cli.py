@@ -289,6 +289,14 @@ class TestCliExperiments:
         all_optima = [c for c in rows if c[4] == "pta-condorcet-all-optima"]
         assert all_optima[0][6] in ("", "0.000000")
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_audit_axioms_cap_below_one_exits_2(self, cap, capsys):
+        argv = ["audit-axioms", "--tasks", "6", "--models", "u", "--instances", "1", "--no-times"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--cap", cap]) == 2
+        assert "cap" in capsys.readouterr().err
+
     def test_bad_experiment_arguments_exit_2(self, capsys):
         assert main(["compare", "--models", " , ", "--tasks", "4"]) == 2
 
