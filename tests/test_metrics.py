@@ -10,8 +10,11 @@ from collective_schedules import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    UnknownTaskError,
+    completion_times,
     deviation,
     kendall_tau,
+    local_search,
     pairwise_counts,
     pta_kendall_tau,
     score,
@@ -175,3 +178,40 @@ class TestRankDistances:
             kt = kendall_tau(base, other)
             fr = spearman_footrule(base, other)
             assert kt <= fr <= 2 * kt
+
+
+# Every entry point that reads a schedule rejects a non-permutation with the
+# same error: the schedule is scanned in order, the first unknown or repeated
+# id is reported, and a missing task only once the scan is complete.
+SCHEDULE_ENTRY_POINTS = {
+    "score-dev": lambda s, tasks, profile: score(s, profile, Objective.SUM_DEVIATION),
+    "score-tard": lambda s, tasks, profile: score(s, profile, Objective.SUM_TARDINESS),
+    "score-pta": lambda s, tasks, profile: score(s, profile, Objective.PTA_KENDALL_TAU),
+    "deviation": lambda s, tasks, profile: deviation(s, profile),
+    "tardiness": lambda s, tasks, profile: tardiness(s, profile),
+    "pta": lambda s, tasks, profile: pta_kendall_tau(s, profile),
+    "pta-counts": lambda s, tasks, profile: pta_kendall_tau(s, profile, pairwise_counts(profile)),
+    "kendall-tau": lambda s, tasks, profile: kendall_tau(s, Schedule(tasks.ids), tasks),
+    "footrule": lambda s, tasks, profile: spearman_footrule(Schedule(tasks.ids), s, tasks),
+    "local-search": lambda s, tasks, profile: local_search(s, profile, Objective.SUM_DEVIATION),
+    "completion-times": lambda s, tasks, profile: completion_times(s, tasks),
+}
+
+NON_PERMUTATIONS = {
+    "missing": (("1", "2"), MismatchedTaskSetError, "schedule does not cover the whole task set"),
+    "unknown-extra": (("1", "2", "3", "z"), UnknownTaskError, "unknown task id 'z' in schedule"),
+    "repeat": (("1", "2", "3", "2"), MismatchedTaskSetError, "task '2' appears twice in schedule"),
+    "repeat-then-unknown": (("1", "1", "z"), MismatchedTaskSetError, "task '1' appears twice in schedule"),
+    "unknown-then-repeat": (("z", "1", "1"), UnknownTaskError, "unknown task id 'z' in schedule"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_PERMUTATIONS))
+@pytest.mark.parametrize("entry", sorted(SCHEDULE_ENTRY_POINTS))
+def test_non_permutation_schedules_rejected(example, entry, case):
+    tasks, profile = example
+    order, error, message = NON_PERMUTATIONS[case]
+    with pytest.raises(error) as caught:
+        SCHEDULE_ENTRY_POINTS[entry](Schedule(order), tasks, profile)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
