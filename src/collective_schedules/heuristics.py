@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .metrics import _compile_profile, _completions_by_index, _due_cost, _due_prefix_tables, _pair_counts, _pta_kernel
+from .metrics import _compile_profile, _due_prefix_tables, _transitions
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, _require_same_tasks
 
 
@@ -83,7 +83,7 @@ def local_search(
     objective = Objective(objective)
     compiled = _compile_profile(profile)
     tasks = profile.tasks
-    _require_permutation(schedule, tasks)
+    order = list(_require_permutation(schedule, tasks))
     if max_steps is None:
         max_steps = 2 * tasks.n
     if not isinstance(max_steps, int) or isinstance(max_steps, bool):
@@ -92,22 +92,11 @@ def local_search(
         raise ValueError("max_steps must be nonnegative")
 
     lengths = compiled.lengths
-    order = [tasks.index(tid) for tid in schedule.order]
-    if objective is Objective.PTA_KENDALL_TAU:
-        counts = _pair_counts(compiled)
-        current_score = _pta_kernel(order, lengths, counts)
-
-        def swap_delta(start: int, a: int, b: int) -> int:
-            # only the pair's own term changes: a-before-b becomes b-before-a
-            return lengths[b] * counts[a][b] - lengths[a] * counts[b][a]
-
-    else:
-        cost = _due_cost(compiled, objective is Objective.SUM_TARDINESS)
-        current_score = sum(cost(i, done) for i, done in enumerate(_completions_by_index(order, lengths)))
-
-        def swap_delta(start: int, a: int, b: int) -> int:
-            end = start + lengths[a] + lengths[b]
-            return cost(b, start + lengths[b]) + cost(a, end) - cost(a, start + lengths[a]) - cost(b, end)
+    step, pair = _transitions(compiled, objective)
+    current_score = start = 0
+    for pos, i in enumerate(order):
+        current_score += step(i, start, order[pos:])
+        start += lengths[i]
 
     start_score = current_score
     steps: list[LocalSearchStep] = []
@@ -121,7 +110,7 @@ def local_search(
         start = 0  # completion time of the task before position pos
         for pos in range(len(order) - 1):
             a, b = order[pos], order[pos + 1]
-            value = current_score + swap_delta(start, a, b)
+            value = current_score + pair(b, a, start) - pair(a, b, start)
             if value < best_score:  # strict: leftmost candidate wins ties
                 best_score = value
                 best_pos = pos

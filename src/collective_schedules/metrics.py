@@ -16,6 +16,11 @@ costs O(n^2) rather than another scan over the voters.  Scoring, solving
 and heuristic entry points validate their profile once and then read a
 :class:`CompiledProfile`, the same ballots in task-index space.
 
+Only this module knows each objective: its full-score kernels score a whole
+order from the ballots (:func:`_evaluator`, for scoring and the brute-force
+oracle), and its transition costs charge one more task (:func:`_transitions`),
+which the exact solver and the local search read.
+
 ``kendall_tau`` and ``spearman_footrule`` are the classical unweighted
 distances between two schedules; with unit-length tasks they coincide with
 ``pta_kendall_tau`` and ``deviation`` against a single voter.
@@ -32,6 +37,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    _completions_by_index,
     _require_permutation,
     require_valid_profile,
 )
@@ -87,9 +93,7 @@ def pta_kendall_tau(
     elif counts.tasks != profile.tasks:
         raise MismatchedTaskSetError("count matrix was built for a different task set")
     tasks = profile.tasks
-    _require_permutation(schedule, tasks)
-    order = [tasks.index(tid) for tid in schedule.order]
-    return _pta_kernel(order, tasks.lengths, counts.counts)
+    return _pta_kernel(_require_permutation(schedule, tasks), tasks.lengths, counts.counts)
 
 
 def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) -> int:
@@ -172,20 +176,49 @@ def _due_prefix_tables(compiled: CompiledProfile):
     return tables
 
 
-def _due_cost(compiled: CompiledProfile, tardy_only: bool):
-    """``cost(i, finish)``: task ``i``'s deviation (tardiness if ``tardy_only``)
-    when it completes at ``finish``, in O(log groups) from the due tables."""
+def _transitions(compiled: CompiledProfile, objective: Objective):
+    """``(step, pair)``: the objective's cost split into per-task charges.
+
+    ``step(i, start, rem)`` is the charge for running task ``i`` from time
+    ``start`` while the tasks in ``rem`` (``i`` among them) have not run
+    yet; an order's score is the sum of its steps.  ``pair(a, b, start)``
+    holds the terms that change when adjacent ``a`` then ``b``, starting at
+    ``start``, swap places: the swap changes the score by
+    ``pair(b, a, start) - pair(a, b, start)``.
+    """
+    lengths = compiled.lengths
+    if objective is Objective.PTA_KENDALL_TAU:
+        # running i ahead of a waiting j costs lengths[i] per voter wanting j first
+        counts = _pair_counts(compiled)
+        cols = [[row[i] for row in counts] for i in range(len(lengths))]  # cols[i][j] = counts[j][i]
+
+        def step(i: int, start: int, rem) -> int:
+            col = cols[i]
+            return lengths[i] * sum(col[j] for j in rem if j != i)
+
+        def pair(a: int, b: int, start: int) -> int:
+            return lengths[a] * counts[b][a]
+
+        return step, pair
+
+    # deviation or tardiness of task i finishing at start + lengths[i], in
+    # O(log groups) from the due tables
+    tardy_only = objective is Objective.SUM_TARDINESS
     table = _due_prefix_tables(compiled)
 
-    def cost(i: int, finish: int) -> int:
+    def step(i: int, start: int, rem) -> int:
         dues, cum_mult, cum_due, total_mult, total_due = table[i]
+        finish = start + lengths[i]
         r = bisect_right(dues, finish)
         late = finish * cum_mult[r] - cum_due[r]
         if tardy_only:
             return late
         return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
 
-    return cost
+    def pair(a: int, b: int, start: int) -> int:
+        return step(a, start, ()) + step(b, start + lengths[a], ())
+
+    return step, pair
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
@@ -210,23 +243,19 @@ def _score_compiled(
     counts: tuple[tuple[int, ...], ...] | None = None,
 ) -> int:
     """Score ``schedule``; pass ``counts`` to reuse one pairwise count matrix."""
-    tasks = compiled.tasks
-    _require_permutation(schedule, tasks)
-    order = tuple(tasks.index(tid) for tid in schedule.order)
+    return _evaluator(compiled, objective, counts)(_require_permutation(schedule, compiled.tasks))
+
+
+def _evaluator(compiled: CompiledProfile, objective: Objective, counts=None):
+    """``evaluate(order)``: an index order's full score from the per-voter kernels."""
+    lengths = compiled.lengths
     if objective is Objective.PTA_KENDALL_TAU:
-        return _pta_kernel(order, compiled.lengths, counts if counts is not None else _pair_counts(compiled))
-    comp = _completions_by_index(order, compiled.lengths)
+        if counts is None:
+            counts = _pair_counts(compiled)
+        return lambda order: _pta_kernel(order, lengths, counts)
     kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
-    return kernel(comp, compiled.dues, compiled.mults)
-
-
-def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> list[int]:
-    comp = [0] * len(order)
-    elapsed = 0
-    for i in order:
-        elapsed += lengths[i]
-        comp[i] = elapsed
-    return comp
+    dues, mults = compiled.dues, compiled.mults
+    return lambda order: kernel(_completions_by_index(order, lengths), dues, mults)
 
 
 def _deviation_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
@@ -265,10 +294,9 @@ def _pta_kernel(
 
 
 def _positions(schedule: Schedule, tasks: TaskSet) -> list[int]:
-    _require_permutation(schedule, tasks)
     pos = [0] * tasks.n
-    for rank, tid in enumerate(schedule.order):
-        pos[tasks.index(tid)] = rank
+    for rank, i in enumerate(_require_permutation(schedule, tasks)):
+        pos[i] = rank
     return pos
 
 

@@ -196,13 +196,9 @@ def completion_times(schedule: Schedule, tasks: TaskSet) -> dict[str, int]:
     the sum of the lengths of positions 0..j.  Raises if the schedule is not
     a permutation of ``tasks``.
     """
-    _require_permutation(schedule, tasks)
-    out: dict[str, int] = {}
-    elapsed = 0
-    for tid in schedule.order:
-        elapsed += tasks.length(tid)
-        out[tid] = elapsed
-    return out
+    order = _require_permutation(schedule, tasks)
+    comp = _completions_by_index(order, tasks.lengths)
+    return {tid: comp[i] for tid, i in zip(schedule.order, order)}
 
 
 def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -> ProfileValidation:
@@ -264,17 +260,32 @@ def swap_tasks_in_profile(profile: PreferenceProfile, a: str, b: str) -> Prefere
     return PreferenceProfile(profile.tasks, tuple((s.swap(a, b), m) for s, m in profile.groups))
 
 
-def _require_permutation(schedule: Schedule, tasks: TaskSet) -> None:
-    # cheap full check: every id known, no repeats, nothing missing
-    seen: set[str] = set()
+def _require_permutation(schedule: Schedule, tasks: TaskSet) -> tuple[int, ...]:
+    # the schedule's task indices, checked in the same pass: every id known,
+    # no repeats, nothing missing
+    index = tasks._index
+    order: list[int] = []
+    seen: set[int] = set()
     for tid in schedule.order:
-        if tid not in tasks:
+        if tid not in index:
             raise UnknownTaskError(f"unknown task id {tid!r} in schedule")
-        if tid in seen:
+        i = index[tid]
+        if i in seen:
             raise MismatchedTaskSetError(f"task {tid!r} appears twice in schedule")
-        seen.add(tid)
-    if len(seen) != tasks.n:
+        seen.add(i)
+        order.append(i)
+    if len(order) != tasks.n:
         raise MismatchedTaskSetError("schedule does not cover the whole task set")
+    return tuple(order)
+
+
+def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> list[int]:
+    comp = [0] * len(order)
+    elapsed = 0
+    for i in order:
+        elapsed += lengths[i]
+        comp[i] = elapsed
+    return comp
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

@@ -24,15 +24,7 @@ from itertools import islice, permutations
 from math import factorial
 
 from .errors import TooManyTasksError
-from .metrics import (
-    _compile_profile,
-    _completions_by_index,
-    _deviation_kernel,
-    _due_cost,
-    _pair_counts,
-    _pta_kernel,
-    _tardiness_kernel,
-)
+from .metrics import _compile_profile, _evaluator, _transitions
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_same_tasks
 
 ORACLE_MAX_TASKS = 9
@@ -88,21 +80,7 @@ def brute_force_oracle(tasks: TaskSet, profile: PreferenceProfile, objective: Ob
     if n > ORACLE_MAX_TASKS:
         raise TooManyTasksError(f"oracle handles at most {ORACLE_MAX_TASKS} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    compiled = _compile_profile(profile)
-
-    lengths = tasks.lengths
-    if objective is Objective.PTA_KENDALL_TAU:
-        counts = _pair_counts(compiled)
-
-        def evaluate(order: tuple[int, ...]) -> int:
-            return _pta_kernel(order, lengths, counts)
-
-    else:
-        dues, mults = compiled.dues, compiled.mults
-        kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
-
-        def evaluate(order: tuple[int, ...]) -> int:
-            return kernel(_completions_by_index(order, lengths), dues, mults)
+    evaluate = _evaluator(_compile_profile(profile), objective)
 
     best: int | None = None
     argmins: list[tuple[int, ...]] = []
@@ -148,7 +126,7 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    compiled = _compile_profile(profile)
+    step, _ = _transitions(_compile_profile(profile), objective)
 
     lengths = tasks.lengths
     full = (1 << n) - 1
@@ -161,20 +139,6 @@ def solve_exact(
         low = mask & -mask
         load[mask] = load[mask ^ low] + lengths[low_index[low]]
 
-    if objective is Objective.PTA_KENDALL_TAU:
-        counts = _pair_counts(compiled)
-        cols = [[row[i] for row in counts] for i in range(n)]  # cols[i][j] = voters wanting j before i
-
-        def step(mask: int, i: int, rem: list[int]) -> int:
-            col = cols[i]
-            return lengths[i] * sum(col[j] for j in rem if j != i)
-
-    else:
-        cost = _due_cost(compiled, objective is Objective.SUM_TARDINESS)
-
-        def step(mask: int, i: int, rem: list[int]) -> int:
-            return cost(i, load[mask] + lengths[i])
-
     # best completion cost and number of optimal completions for every
     # prefix set, filled from the full set down
     h = [0] * (full + 1)
@@ -182,9 +146,10 @@ def solve_exact(
     ways[full] = 1
     for mask in range(full - 1, -1, -1):
         rem = [i for i in range(n) if not mask & bit[i]]
+        start = load[mask]
         best = None
         for i in rem:
-            cand = step(mask, i, rem) + h[mask | bit[i]]
+            cand = step(i, start, rem) + h[mask | bit[i]]
             if best is None or cand < best:
                 best, count = cand, ways[mask | bit[i]]
             elif cand == best:
@@ -193,7 +158,7 @@ def solve_exact(
         ways[mask] = count
 
     ids = tasks.ids
-    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, step))
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, load, step))
     optima = tuple(islice(walk, options.optimum_cap)) if options.enumerate_all else None
     representative = optima[0] if optima is not None else next(walk)
 
@@ -224,7 +189,7 @@ def enumerate_optima(
     return report.optima, report.optima_complete
 
 
-def _optimal_orders(n, h, step):
+def _optimal_orders(n, h, load, step):
     """Every optimal order of task indices, lexicographically least first.
 
     A depth-first walk over the transitions that keep the optimum, taking
@@ -245,5 +210,5 @@ def _optimal_orders(n, h, step):
         stack.extend(
             (mask | 1 << i, prefix + (i,))
             for i in reversed(rem)
-            if step(mask, i, rem) + h[mask | 1 << i] == h[mask]
+            if step(i, load[mask], rem) + h[mask | 1 << i] == h[mask]
         )
