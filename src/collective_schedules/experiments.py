@@ -33,8 +33,8 @@ from .axioms import (
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
-from .metrics import _compile_profile, _pair_counts, _score_compiled
-from .model import Objective
+from .metrics import _compile_profile, _evaluator
+from .model import Objective, _require_permutation
 from .rules import EXACT_RULES, apply_rule
 from .solver import SolveOptions, solve_exact
 
@@ -137,13 +137,14 @@ def run_compare(
                 for rule, objective in EXACT_RULES.items()
             }
             compiled = _compile_profile(profile)
-            counts = _pair_counts(compiled)
+            evaluate = {rule: _evaluator(compiled, objective) for rule, objective in EXACT_RULES.items()}
             detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
             for rule, rep in reports.items():
                 times[rule].append(rep.wall_time_s)
                 detail["ratios"][rule] = {}
-                for metric_rule, objective in EXACT_RULES.items():
-                    value = _score_compiled(rep.schedule, compiled, objective, counts)
+                order = _require_permutation(rep.schedule, tasks)
+                for metric_rule in EXACT_RULES:
+                    value = evaluate[metric_rule](order)
                     ratio = _ratio(value, reports[metric_rule].optimal_score)
                     ratios[rule][metric_rule].append(ratio)
                     detail["ratios"][rule][metric_rule] = ratio

@@ -50,7 +50,7 @@ class GenSpec:
     """Parameters of one random instance.
 
     ``utilities`` overrides the Plackett-Luce utility draw (one positive
-    weight per task); it exists so tests can pin degenerate weightings.
+    finite weight per task); it exists so tests can pin degenerate weightings.
     """
 
     n: int
@@ -73,8 +73,8 @@ class GenSpec:
         if self.utilities is not None:
             if self.model != MODEL_PLACKETT_LUCE:
                 raise InvalidSpecError("utilities only apply to the plackett-luce model")
-            if len(self.utilities) != self.n or any(u <= 0 for u in self.utilities):
-                raise InvalidSpecError("need one positive utility per task")
+            if len(self.utilities) != self.n or any(not 0 < u < float("inf") for u in self.utilities):
+                raise InvalidSpecError("need one positive finite utility per task")
 
 
 def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:

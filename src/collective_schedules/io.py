@@ -88,7 +88,7 @@ def write_instance(path: str | Path, tasks: TaskSet, profile: PreferenceProfile)
 def _decode(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # malformed text, an overlong int, or nesting too deep
         raise InstanceFormatError(f"not valid JSON: {err}") from err
     return instance_from_dict(doc)
 

@@ -70,12 +70,12 @@ def pairwise_counts(profile: PreferenceProfile) -> PairwiseCountMatrix:
 
 def deviation(schedule: Schedule, profile: PreferenceProfile) -> int:
     """Total absolute completion-time deviation from all voters."""
-    return _score_compiled(schedule, _compile_profile(profile), Objective.SUM_DEVIATION)
+    return score(schedule, profile, Objective.SUM_DEVIATION)
 
 
 def tardiness(schedule: Schedule, profile: PreferenceProfile) -> int:
     """Total lateness versus every voter's preferred completion times."""
-    return _score_compiled(schedule, _compile_profile(profile), Objective.SUM_TARDINESS)
+    return score(schedule, profile, Objective.SUM_TARDINESS)
 
 
 def pta_kendall_tau(
@@ -99,7 +99,8 @@ def pta_kendall_tau(
 def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) -> int:
     """Evaluate one schedule under the given objective."""
     objective = Objective(objective)
-    return _score_compiled(schedule, _compile_profile(profile), objective)
+    evaluate = _evaluator(_compile_profile(profile), objective)
+    return evaluate(_require_permutation(schedule, profile.tasks))
 
 
 def kendall_tau(a: Schedule, b: Schedule, tasks: TaskSet | None = None) -> int:
@@ -236,22 +237,11 @@ def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in counts)
 
 
-def _score_compiled(
-    schedule: Schedule,
-    compiled: CompiledProfile,
-    objective: Objective,
-    counts: tuple[tuple[int, ...], ...] | None = None,
-) -> int:
-    """Score ``schedule``; pass ``counts`` to reuse one pairwise count matrix."""
-    return _evaluator(compiled, objective, counts)(_require_permutation(schedule, compiled.tasks))
-
-
-def _evaluator(compiled: CompiledProfile, objective: Objective, counts=None):
+def _evaluator(compiled: CompiledProfile, objective: Objective):
     """``evaluate(order)``: an index order's full score from the per-voter kernels."""
     lengths = compiled.lengths
     if objective is Objective.PTA_KENDALL_TAU:
-        if counts is None:
-            counts = _pair_counts(compiled)
+        counts = _pair_counts(compiled)
         return lambda order: _pta_kernel(order, lengths, counts)
     kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
     dues, mults = compiled.dues, compiled.mults

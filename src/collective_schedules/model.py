@@ -46,9 +46,9 @@ class TaskSet:
         index: dict[str, int] = {}
         for pos, (tid, length) in enumerate(frozen):
             if not isinstance(tid, str) or not tid:
-                raise ValueError(f"task id must be a non-empty string, got {tid!r}")
+                raise ValueError(f"task id must be a non-empty string, got {_shown(tid)}")
             if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-                raise ValueError(f"task {tid!r} needs a positive integer length, got {length!r}")
+                raise ValueError(f"task {tid!r} needs a positive integer length, got {_shown(length)}")
             if tid in index:
                 raise DuplicateTaskError(f"duplicate task id {tid!r}")
             index[tid] = pos
@@ -217,7 +217,7 @@ def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -
     ids = tasks.ids
     for g, (schedule, mult) in enumerate(profile.groups):
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {mult!r}"))
+            defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
         else:
             voters += mult
         seen: set[str] = set()
@@ -286,6 +286,14 @@ def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> l
         elapsed += lengths[i]
         comp[i] = elapsed
     return comp
+
+
+def _shown(value: object) -> str:
+    # repr for an error message; an int too long to print is described instead
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

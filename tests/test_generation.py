@@ -56,6 +56,13 @@ class TestGenSpecValidation:
         with pytest.raises(InvalidSpecError):
             GenSpec(**kwargs)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_utility_rejected(self, bad):
+        # NaN and +inf pass a plain "u <= 0" test; either one used to fix
+        # every ballot to the same order
+        with pytest.raises(InvalidSpecError, match="positive finite utility"):
+            GenSpec(4, 5, "plackett-luce", (1, 3), 0, utilities=(bad, 1.0, 1.0, 1.0))
+
 
 class TestGenerate:
     @pytest.mark.parametrize("model", ["uniform", "plackett-luce"])

@@ -1,6 +1,8 @@
 """Instance files and the command-line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,15 @@ from collective_schedules import (
 )
 from collective_schedules.cli import main
 from collective_schedules.gallery import three_task_example
+
+
+# Texts that make ``json.loads`` fail with something other than a decode
+# error: nesting past the recursion limit, and an int past the digit limit.
+DECODER_FAILURES = {
+    "deep-array": "[" * 100_000 + "]" * 100_000,
+    "deep-tasks": '{"tasks": ' + "[" * 100_000 + "]" * 100_000 + ', "voters": []}',
+    "huge-int": '{"tasks": [{"id": "a", "length": ' + "9" * 5000 + '}], "voters": []}',
+}
 
 
 class TestInstanceFormat:
@@ -79,6 +90,15 @@ class TestInstanceFormat:
     def test_bad_json_rejected(self):
         with pytest.raises(InstanceFormatError):
             loads_instance("{not json")
+
+    @pytest.mark.parametrize("text", DECODER_FAILURES.values(), ids=DECODER_FAILURES.keys())
+    def test_decoder_failures_are_format_errors(self, text, tmp_path):
+        with pytest.raises(InstanceFormatError, match="not valid JSON"):
+            loads_instance(text)
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        with pytest.raises(InstanceFormatError, match="not valid JSON"):
+            read_instance(path)
 
 
 @pytest.fixture()
@@ -178,6 +198,19 @@ class TestCliSolve:
         path.write_text(json.dumps(instance_to_dict(tasks, bad)))
         assert main(["solve", "--rule", "sum-dev", "--input", str(path)]) == 2
         assert "invalid instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", DECODER_FAILURES.values(), ids=DECODER_FAILURES.keys())
+    def test_decoder_failures_exit_2_without_traceback(self, text, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        run = subprocess.run(
+            [sys.executable, "-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 2
+        assert "error: not valid JSON" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_out_flag_writes_report(self, instance_file, tmp_path):
         target = tmp_path / "report.json"
