@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, TaskSet
+from .model import PreferenceProfile, TaskSet, _shown
 
 MODEL_UNIFORM = "uniform"
 MODEL_PLACKETT_LUCE = "plackett-luce"
@@ -62,14 +62,14 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidSpecError(f"need at least one task, got n={self.n!r}")
+            raise InvalidSpecError(f"need at least one task, got n={_shown(self.n)}")
         if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 1:
-            raise InvalidSpecError(f"need at least one voter, got v={self.v!r}")
+            raise InvalidSpecError(f"need at least one voter, got v={_shown(self.v)}")
         if self.model not in MODELS:
-            raise InvalidSpecError(f"unknown ballot model {self.model!r}")
+            raise InvalidSpecError(f"unknown ballot model {_shown(self.model)}")
         lo, hi = self.length_range
         if any(not isinstance(b, int) or isinstance(b, bool) for b in (lo, hi)) or not 1 <= lo <= hi:
-            raise InvalidSpecError(f"bad length range {self.length_range!r}")
+            raise InvalidSpecError(f"bad length range {_shown(self.length_range)}")
         if self.utilities is not None:
             if self.model != MODEL_PLACKETT_LUCE:
                 raise InvalidSpecError("utilities only apply to the plackett-luce model")

@@ -289,11 +289,11 @@ def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> l
 
 
 def _shown(value: object) -> str:
-    # repr for an error message; an int too long to print is described instead
+    # repr for an error message; str() refuses an int of over 4,300 digits
     try:
         return repr(value)
     except ValueError:
-        return f"an int of {value.bit_length()} bits"
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

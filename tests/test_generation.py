@@ -63,6 +63,21 @@ class TestGenSpecValidation:
         with pytest.raises(InvalidSpecError, match="positive finite utility"):
             GenSpec(4, 5, "plackett-luce", (1, 3), 0, utilities=(bad, 1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": -(10**5000), "v": 5},
+            {"n": 5, "v": -(10**5000)},
+            {"n": 5, "v": 5, "model": 10**5000},
+            {"n": 5, "v": 5, "length_range": (-(10**5000), 3)},
+        ],
+        ids=["n", "v", "model", "length-range"],
+    )
+    def test_values_too_long_to_print_rejected(self, kwargs):
+        # str() refuses an int of over 4,300 digits; the message describes it
+        with pytest.raises(InvalidSpecError, match="too long to print"):
+            GenSpec(**kwargs)
+
 
 class TestGenerate:
     @pytest.mark.parametrize("model", ["uniform", "plackett-luce"])

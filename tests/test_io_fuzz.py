@@ -119,11 +119,11 @@ class TestHugeIntMessages:
     describes such a value in its messages instead of printing it."""
 
     def test_task_set_rejects_a_huge_negative_length(self):
-        with pytest.raises(ValueError, match="needs a positive integer length, got an int of 16610 bits"):
+        with pytest.raises(ValueError, match="needs a positive integer length, got <int too long to print>"):
             TaskSet.of(("a", -(10**5000)))
 
     def test_validation_reports_a_huge_negative_count(self):
         doc = {"tasks": [{"id": "a", "length": 1}], "voters": [{"count": -(10**5000), "order": ["a"]}]}
         report = validate_profile(instance_from_dict(doc)[1])
         assert [d.code for d in report.defects] == ["bad-multiplicity"]
-        assert report.defects[0].message == "multiplicity must be a positive integer, got an int of 16610 bits"
+        assert report.defects[0].message == "multiplicity must be a positive integer, got <int too long to print>"
