@@ -1,6 +1,7 @@
 """Experiment pipelines: report schema, determinism, and per-instance detail."""
 
 import json
+from statistics import fmean
 
 import pytest
 
@@ -174,3 +175,99 @@ class TestRunAuditAxioms:
 def test_instance_count_must_be_a_positive_int(pipeline, count):
     with pytest.raises(InvalidSpecError, match="instances"):
         pipeline(instances=count)
+
+
+# Every report statistic can be recomputed from the report's own instance
+# records: per (model, n, v) cell, and for lrm-audit per model and over all.
+METRIC_RULE = {objective.value: rule for rule, objective in rules.EXACT_RULES.items()}
+
+
+def _cells_of(records):
+    cells = {}
+    for record in records:
+        cells.setdefault((record["model"], record["n"], record["v"]), []).append(record)
+    return cells
+
+
+def _rate(count, total):
+    return count / total if total else None
+
+
+def _compare_stats(row, report):
+    cell = _cells_of(report.instances)[row.model, row.n, row.v]
+    ratios = [d["ratios"][row.rule][METRIC_RULE[row.metric]] for d in cell]
+    return {"mean_ratio": fmean(ratios)}
+
+
+def _lmt_eval_stats(row, report):
+    field = {"lmt": "ratio_lmt", "lmt-ls": "ratio_lmt_ls"}.get(row.rule)
+    return {"mean_ratio": fmean(d[field] for d in report.instances) if field else 1.0}
+
+
+def _lrm_audit_stats(row, report):
+    records = [d for d in report.instances if row.model in ("all", d["model"])]
+    violations = sum(not d["verdicts"][row.rule] for d in records)
+    return {"violation_rate": violations / len(records)}
+
+
+def _uniqueness_stats(row, report):
+    cell = _cells_of(report.instances)[row.model, row.n, row.v]
+    unique = sum(d["optimum_count"][row.rule] == 1 for d in cell)
+    return {"unique_fraction": unique / len(cell)}
+
+
+def _audit_axioms_stats(row, report):
+    cell = _cells_of(report.instances)[row.model, row.n, row.v]
+    applicable = [d for d in cell if d["has_consistent_schedule"]]
+    if row.metric == "unanimity":
+        violations = sum(not d["rules"][row.rule]["unanimity"] for d in cell)
+        return {"violation_rate": violations / len(cell)}
+    if row.metric == "pta-condorcet":
+        violations = sum(not d["rules"][row.rule]["pta_condorcet"] for d in applicable)
+        return {"violation_rate": _rate(violations, len(applicable))}
+    checked = [d["kemeny_optima_consistent"] for d in applicable
+               if d["kemeny_optima_consistent"] is not None]
+    return {"violation_rate": _rate(checked.count(False), len(checked))}
+
+
+RECOMPUTED = {
+    "compare": (
+        lambda seed, times: run_compare(models=("u", "c"), ns=(3, 4), v=7, instances=3,
+                                        seed=seed, include_times=times),
+        _compare_stats,
+    ),
+    "lmt-eval": (
+        lambda seed, times: run_lmt_eval(n=5, v=8, instances=4, seed=seed,
+                                         model=("uniform", "plackett-luce")[seed % 2],
+                                         include_times=times),
+        _lmt_eval_stats,
+    ),
+    "lrm-audit": (
+        lambda seed, times: run_lrm_audit(instances=5, n=5, v=8, seed=seed,
+                                          reduction=("unit", "uniform")[seed % 2],
+                                          include_times=times),
+        _lrm_audit_stats,
+    ),
+    "uniqueness-audit": (
+        lambda seed, times: run_uniqueness_audit(models=("u", "c"), ns=(3, 4), vs=(4, 9),
+                                                 instances=3, seed=seed, include_times=times),
+        _uniqueness_stats,
+    ),
+    "audit-axioms": (
+        lambda seed, times: run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
+                                             seed=seed, cap=20, include_times=times),
+        _audit_axioms_stats,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pipeline", sorted(RECOMPUTED))
+def test_row_statistics_recompute_from_instance_records(pipeline, seed):
+    run, stats = RECOMPUTED[pipeline]
+    report = run(seed, False)
+    assert report.rows
+    for row in report.rows:
+        assert row.mean_time is None
+        for column, expected in stats(row, report).items():
+            assert getattr(row, column) == expected, (row, column)
