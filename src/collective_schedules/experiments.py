@@ -3,10 +3,14 @@
 Every pipeline emits an :class:`ExperimentReport`: a fixed-schema CSV
 (`model,n,v,rule,metric,mean_ratio,violation_rate,unique_fraction,mean_time`,
 '.' decimals, ',' separator, blank cells where a column does not apply)
-plus a JSON twin carrying per-instance detail.  Given the same seed the
-scientific columns are reproducible bit for bit; ``mean_time`` holds
-measured wall-clock seconds, so reports meant for byte diffing should be
-produced with ``include_times=False``.
+plus a JSON twin carrying one record per instance.  Every row statistic
+is computed from those records and nothing else: a ratio is the mean of a
+record field, a rate or fraction is a count of records over the cell size.
+With ``include_times`` each record also carries a ``times`` dict of
+measured wall-clock seconds, and ``mean_time`` is the mean of one of its
+keys; without it neither the records nor the rows hold a time.  Given the
+same seed the scientific columns are reproducible bit for bit, so reports
+meant for byte diffing should be produced with ``include_times=False``.
 """
 
 from __future__ import annotations
@@ -97,7 +101,9 @@ def _cells(models, ns, vs, instances, seed, length_range):
     Yields ``(model, n, v, draws)``.  ``draws`` yields ``(child, tasks,
     profile)`` for each instance ``i`` of the cell, generated from the
     child seed ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a
-    cell's instances do not depend on which other cells are run.
+    cell's instances do not depend on which other cells are run.  A
+    pipeline appends one record per draw, so after a cell its records are
+    the last ``instances`` ones.
     """
     _require_count("instances", instances)
 
@@ -129,8 +135,6 @@ def run_compare(
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
-        ratios = {rule: {m: [] for m in EXACT_RULES} for rule in EXACT_RULES}
-        times = {rule: [] for rule in EXACT_RULES}
         for child, tasks, profile in draws:
             reports = {
                 rule: solve_exact(tasks, profile, objective)
@@ -140,17 +144,15 @@ def run_compare(
             evaluate = {rule: _evaluator(compiled, objective) for rule, objective in EXACT_RULES.items()}
             detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
             for rule, rep in reports.items():
-                times[rule].append(rep.wall_time_s)
-                detail["ratios"][rule] = {}
                 order = _require_permutation(rep.schedule, tasks)
-                for metric_rule in EXACT_RULES:
-                    value = evaluate[metric_rule](order)
-                    ratio = _ratio(value, reports[metric_rule].optimal_score)
-                    ratios[rule][metric_rule].append(ratio)
-                    detail["ratios"][rule][metric_rule] = ratio
+                detail["ratios"][rule] = {
+                    metric_rule: _ratio(evaluate[metric_rule](order), reports[metric_rule].optimal_score)
+                    for metric_rule in EXACT_RULES
+                }
             if include_times:
-                detail["times"] = {rule: times[rule][-1] for rule in EXACT_RULES}
+                detail["times"] = {rule: rep.wall_time_s for rule, rep in reports.items()}
             details.append(detail)
+        cell = details[-instances:]
         for rule in EXACT_RULES:
             for metric_rule, objective in EXACT_RULES.items():
                 rows.append(
@@ -160,8 +162,8 @@ def run_compare(
                         v,
                         rule,
                         objective.value,
-                        mean_ratio=fmean(ratios[rule][metric_rule]),
-                        mean_time=_mean_time(times[rule], include_times),
+                        mean_ratio=fmean(d["ratios"][rule][metric_rule] for d in cell),
+                        mean_time=_mean_time(cell, rule, include_times),
                     )
                 )
     params = {
@@ -186,7 +188,6 @@ def run_lmt_eval(
 ) -> ExperimentReport:
     """Quality of the median heuristic against the exact deviation optimum."""
     model = canonical_model(model)
-    pre, post, t_lmt, t_ls, t_exact = [], [], [], [], []
     details: list[dict[str, Any]] = []
     ((_, _, _, draws),) = _cells((model,), (n,), (v,), instances, seed, length_range)
     for child, tasks, profile in draws:
@@ -198,30 +199,25 @@ def run_lmt_eval(
         improved, trace = local_search(start, profile, Objective.SUM_DEVIATION)
         ls_seconds = time.perf_counter() - started
 
-        ratio_pre = _ratio(trace.start_score, exact.optimal_score)
-        ratio_post = _ratio(trace.final_score, exact.optimal_score)
-        pre.append(ratio_pre)
-        post.append(ratio_post)
-        t_lmt.append(lmt_seconds)
-        t_ls.append(ls_seconds)
-        t_exact.append(exact.wall_time_s)
-        details.append(
-            {
-                "model": model,
-                "n": n,
-                "v": v,
-                "seed": child,
-                "ratio_lmt": ratio_pre,
-                "ratio_lmt_ls": ratio_post,
-                "search_steps": len(trace.steps),
-                "terminated_by": trace.terminated_by,
-            }
-        )
+        detail = {
+            "model": model,
+            "n": n,
+            "v": v,
+            "seed": child,
+            "ratio_lmt": _ratio(trace.start_score, exact.optimal_score),
+            "ratio_lmt_ls": _ratio(trace.final_score, exact.optimal_score),
+            "search_steps": len(trace.steps),
+            "terminated_by": trace.terminated_by,
+        }
+        if include_times:
+            detail["times"] = {"lmt": lmt_seconds, "lmt-ls": ls_seconds, "sum-dev": exact.wall_time_s}
+        details.append(detail)
     metric = Objective.SUM_DEVIATION.value
-    rows = (
-        ReportRow(model, n, v, "lmt", metric, mean_ratio=fmean(pre), mean_time=_mean_time(t_lmt, include_times)),
-        ReportRow(model, n, v, "lmt-ls", metric, mean_ratio=fmean(post), mean_time=_mean_time(t_ls, include_times)),
-        ReportRow(model, n, v, "sum-dev", metric, mean_ratio=1.0, mean_time=_mean_time(t_exact, include_times)),
+    pre = fmean(d["ratio_lmt"] for d in details)
+    post = fmean(d["ratio_lmt_ls"] for d in details)
+    rows = tuple(
+        ReportRow(model, n, v, rule, metric, mean_ratio=ratio, mean_time=_mean_time(details, rule, include_times))
+        for rule, ratio in (("lmt", pre), ("lmt-ls", post), ("sum-dev", 1.0))
     )
     params = {
         "model": model,
@@ -260,10 +256,7 @@ def run_lrm_audit(
     # GenSpec rejects every other malformed range
     if isinstance(longest, int) and longest < 2:
         raise InvalidSpecError(f"no task can be shortened with lengths in {length_range!r}")
-    per_model: dict[str, dict[str, int]] = {m: {r: 0 for r in EXACT_RULES} for m in MODELS}
-    totals: dict[str, int] = {m: 0 for m in MODELS}
     details: list[dict[str, Any]] = []
-    seconds: list[float] = []
     for i in range(instances):
         model = MODELS[0] if i < (instances + 1) // 2 else MODELS[1]
         chooser = np.random.default_rng(instance_seed(seed, i, 0xC0FFEE))
@@ -279,7 +272,6 @@ def run_lrm_audit(
             reduced_length = tasks.length(target) - 1
         else:
             reduced_length = int(chooser.integers(1, tasks.length(target)))
-        totals[model] += 1
         detail = {
             "model": model,
             "seed": child,
@@ -292,17 +284,19 @@ def run_lrm_audit(
             verdict = lrm_probe(profile, rule, target, reduced_length)
             detail["verdicts"][rule] = bool(verdict.holds)
             if not verdict.holds:
-                per_model[model][rule] += 1
                 detail.setdefault("witnesses", {})[rule] = {
                     "start_before": verdict.witness["start_before"],
                     "start_after": verdict.witness["start_after"],
                 }
+        if include_times:
+            detail["times"] = {"instance": time.perf_counter() - started}
         details.append(detail)
-        seconds.append(time.perf_counter() - started)
 
     rows: list[ReportRow] = []
-    for model in MODELS:
-        if totals[model] == 0:
+    # one block of rows per model that drew instances, then one over them all
+    for model in (*MODELS, "all"):
+        records = details if model == "all" else [d for d in details if d["model"] == model]
+        if not records:
             continue
         for rule in EXACT_RULES:
             rows.append(
@@ -312,22 +306,10 @@ def run_lrm_audit(
                     v,
                     rule,
                     "length-reduction-monotonicity",
-                    violation_rate=per_model[model][rule] / totals[model],
+                    violation_rate=sum(not d["verdicts"][rule] for d in records) / len(records),
+                    mean_time=_mean_time(records, "instance", include_times) if model == "all" else None,
                 )
             )
-    for rule in EXACT_RULES:
-        violations = sum(per_model[m][rule] for m in MODELS)
-        rows.append(
-            ReportRow(
-                "all",
-                n,
-                v,
-                rule,
-                "length-reduction-monotonicity",
-                violation_rate=violations / instances,
-                mean_time=_mean_time(seconds, include_times),
-            )
-        )
     params = {
         "instances": instances,
         "n": n,
@@ -353,17 +335,17 @@ def run_uniqueness_audit(
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
-        unique = {rule: 0 for rule in EXACT_RULES}
-        times = {rule: [] for rule in EXACT_RULES}
         for child, tasks, profile in draws:
-            detail = {"model": model, "n": n, "v": v, "seed": child, "optimum_count": {}}
-            for rule, objective in EXACT_RULES.items():
-                report = solve_exact(tasks, profile, objective)
-                times[rule].append(report.wall_time_s)
-                detail["optimum_count"][rule] = report.optimum_count
-                if report.optimum_count == 1:
-                    unique[rule] += 1
+            reports = {
+                rule: solve_exact(tasks, profile, objective)
+                for rule, objective in EXACT_RULES.items()
+            }
+            counts = {rule: report.optimum_count for rule, report in reports.items()}
+            detail = {"model": model, "n": n, "v": v, "seed": child, "optimum_count": counts}
+            if include_times:
+                detail["times"] = {rule: report.wall_time_s for rule, report in reports.items()}
             details.append(detail)
+        cell = details[-instances:]
         for rule in EXACT_RULES:
             rows.append(
                 ReportRow(
@@ -372,8 +354,8 @@ def run_uniqueness_audit(
                     v,
                     rule,
                     "uniqueness",
-                    unique_fraction=unique[rule] / instances,
-                    mean_time=_mean_time(times[rule], include_times),
+                    unique_fraction=sum(d["optimum_count"][rule] == 1 for d in cell) / instances,
+                    mean_time=_mean_time(cell, rule, include_times),
                 )
             )
     params = {
@@ -407,7 +389,6 @@ def run_audit_axioms(
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    seconds: list[float] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
         for child, tasks, profile in draws:
             started = time.perf_counter()
@@ -439,9 +420,9 @@ def run_audit_axioms(
                     if kemeny.optima_complete
                     else None
                 )
+            if include_times:
+                detail["times"] = {"instance": time.perf_counter() - started}
             details.append(detail)
-            seconds.append(time.perf_counter() - started)
-        # each draw appended one detail, so the cell's rates come from the last ones
         cell = details[-instances:]
         applicable = sum(d["has_consistent_schedule"] for d in cell)
         optima_verdicts = [d.get("kemeny_optima_consistent") for d in cell]
@@ -449,26 +430,12 @@ def run_audit_axioms(
         for rule in EXACT_RULES:
             entries = [d["rules"][rule] for d in cell]
             condorcet_violations = sum(e.get("pta_condorcet") is False for e in entries)
-            rows.append(
-                ReportRow(
-                    model,
-                    n,
-                    v,
-                    rule,
-                    "pta-condorcet",
-                    violation_rate=(condorcet_violations / applicable) if applicable else None,
-                )
-            )
-            rows.append(
-                ReportRow(
-                    model,
-                    n,
-                    v,
-                    rule,
-                    "unanimity",
-                    violation_rate=sum(not e["unanimity"] for e in entries) / instances,
-                )
-            )
+            rates = {
+                "pta-condorcet": (condorcet_violations / applicable) if applicable else None,
+                "unanimity": sum(not e["unanimity"] for e in entries) / instances,
+            }
+            for metric, rate in rates.items():
+                rows.append(ReportRow(model, n, v, rule, metric, violation_rate=rate))
         rows.append(
             ReportRow(
                 model,
@@ -479,7 +446,7 @@ def run_audit_axioms(
                 violation_rate=(optima_verdicts.count(False) / optima_checked) if optima_checked else None,
             )
         )
-    per_instance = _mean_time(seconds, include_times)
+    per_instance = _mean_time(details, "instance", include_times)
     rows = [replace(r, mean_time=per_instance) if r.metric == "pta-condorcet-all-optima" else r for r in rows]
     params = {
         "models": list(models),
@@ -508,9 +475,9 @@ def _ratio(value: int, optimum: int) -> float:
     return value / optimum
 
 
-def _mean_time(seconds: Sequence[float], include: bool) -> float | None:
+def _mean_time(records: Sequence[dict[str, Any]], key: str, include: bool) -> float | None:
     # an empty corpus (no models or sizes requested) has no time to report
-    return fmean(seconds) if include and seconds else None
+    return fmean(r["times"][key] for r in records) if include and records else None
 
 
 def _require_count(name: str, value: int) -> None:

@@ -261,13 +261,33 @@ RECOMPUTED = {
 }
 
 
+# The records a row's mean_time averages, and the key of their times dict.
+def _timed_records(pipeline, row, report):
+    if pipeline in ("compare", "uniqueness-audit"):
+        return _cells_of(report.instances)[row.model, row.n, row.v], row.rule
+    if pipeline == "lmt-eval":
+        return report.instances, row.rule
+    if pipeline == "lrm-audit":
+        return (report.instances, "instance") if row.model == "all" else ((), None)
+    if row.metric == "pta-condorcet-all-optima":
+        return report.instances, "instance"
+    return (), None
+
+
+@pytest.mark.parametrize("include_times", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("pipeline", sorted(RECOMPUTED))
-def test_row_statistics_recompute_from_instance_records(pipeline, seed):
+def test_row_statistics_recompute_from_instance_records(pipeline, seed, include_times):
     run, stats = RECOMPUTED[pipeline]
-    report = run(seed, False)
+    report = run(seed, include_times)
     assert report.rows
+    assert all(("times" in d) == include_times for d in report.instances)
     for row in report.rows:
-        assert row.mean_time is None
         for column, expected in stats(row, report).items():
             assert getattr(row, column) == expected, (row, column)
+        records, key = _timed_records(pipeline, row, report)
+        if include_times and key:
+            assert row.mean_time == fmean(d["times"][key] for d in records), row
+        else:
+            assert row.mean_time is None, row
+
