@@ -78,7 +78,12 @@ def loads_instance(text: str) -> Instance:
 
 
 def read_instance(path: str | Path) -> Instance:
-    return _decode(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")  # JSON exchanged between systems is UTF-8 (RFC 8259)
+    except UnicodeDecodeError as err:
+        raise InstanceFormatError(f"not UTF-8 text: {err}") from err
+    return _decode(text)
 
 
 def write_instance(path: str | Path, tasks: TaskSet, profile: PreferenceProfile) -> None:

@@ -134,10 +134,9 @@ def solve_exact(
 
     # prefix load per mask, built from each mask's lowest set bit
     load = [0] * (full + 1)
-    low_index = {bit[i]: i for i in range(n)}
     for mask in range(1, full + 1):
         low = mask & -mask
-        load[mask] = load[mask ^ low] + lengths[low_index[low]]
+        load[mask] = load[mask ^ low] + lengths[low.bit_length() - 1]
 
     # best completion cost and number of optimal completions for every
     # prefix set, filled from the full set down

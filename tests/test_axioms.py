@@ -16,9 +16,11 @@ from collective_schedules import (
     Objective,
     PreferenceProfile,
     Schedule,
+    SolveOptions,
     TaskSet,
     UnknownTaskError,
     check_unanimity,
+    completion_times,
     find_pta_condorcet_schedule,
     generate,
     is_pta_condorcet_consistent,
@@ -262,6 +264,32 @@ class TestLengthReductionProbe:
         _, profile, target, reduced = deviation_length_reduction_counterexample()
         for rule in ("sum-tard", "pta-kemeny"):
             assert lrm_probe(profile, rule, target, reduced).holds is True
+
+    def test_tardiness_tie_break_can_delay_while_an_optimum_does_not(self):
+        # The tardiness optimum set obeys the axiom here, the resolute rule
+        # does not: after the reduction three optima tie, and the
+        # lexicographic tie-break picks the one that starts task 1 later.
+        tasks = TaskSet.of(("0", 3), ("1", 2), ("2", 2), ("3", 2))
+        profile = PreferenceProfile.of(
+            tasks,
+            (("0", "1", "2", "3"), 1),
+            (("0", "2", "3", "1"), 1),
+            (("2", "1", "3", "0"), 1),
+        )
+        verdict = lrm_probe(profile, "sum-tard", "1", 1)
+        assert verdict.holds is False
+        witness = verdict.witness
+        assert (witness["start_before"], witness["start_after"]) == (2, 3)
+        assert witness["schedule_before"].order == ("2", "1", "3", "0")
+        assert witness["schedule_after"].order == ("0", "1", "2", "3")
+
+        assert solve_exact(tasks, profile, Objective.SUM_TARDINESS).optimum_count == 1
+        reduced = tasks.with_length("1", 1)
+        after = solve_exact(reduced, PreferenceProfile(reduced, profile.groups),
+                            Objective.SUM_TARDINESS, SolveOptions(enumerate_all=True))
+        assert after.optimum_count == 3 and after.optima_complete
+        starts = [completion_times(s, reduced)["1"] - 1 for s in after.optima]
+        assert min(starts) <= witness["start_before"]
 
     @pytest.mark.parametrize("bad", [0, -2, 10, 17, 2.5])
     def test_invalid_reductions_rejected(self, bad):

@@ -44,8 +44,8 @@ class TestGenSpecValidation:
             {"n": 5, "v": 5, "length_range": (0, 10)},
             {"n": 5, "v": 5, "length_range": (7, 3)},
             {"n": 5, "v": 5, "utilities": (1.0,) * 5},  # uniform takes none
-            {"n": 5, "v": 5, "model": "pl", "utilities": (1.0,) * 4},
-            {"n": 5, "v": 5, "model": "pl", "utilities": (1.0, 1.0, 1.0, 1.0, 0.0)},
+            {"n": 5, "v": 5, "model": "plackett-luce", "utilities": (1.0,) * 4},
+            {"n": 5, "v": 5, "model": "plackett-luce", "utilities": (1.0, 1.0, 1.0, 1.0, 0.0)},
             pytest.param({"n": True, "v": 5}, id="n-bool"),
             pytest.param({"n": 5, "v": True}, id="v-bool"),
             pytest.param({"n": 5, "v": 5, "length_range": (True, 3)}, id="len-min-bool"),

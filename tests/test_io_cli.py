@@ -100,6 +100,12 @@ class TestInstanceFormat:
         with pytest.raises(InstanceFormatError, match="not valid JSON"):
             read_instance(path)
 
+    def test_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(InstanceFormatError, match="not UTF-8"):
+            read_instance(path)
+
 
 @pytest.fixture()
 def instance_file(tmp_path):
@@ -210,6 +216,18 @@ class TestCliSolve:
         )
         assert run.returncode == 2
         assert "error: not valid JSON" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_file_that_is_not_utf8_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff\xfe{")
+        run = subprocess.run(
+            [sys.executable, "-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 2
+        assert "error: not UTF-8" in run.stderr
         assert "Traceback" not in run.stderr
 
     def test_out_flag_writes_report(self, instance_file, tmp_path):
