@@ -4,13 +4,10 @@ Every pipeline emits an :class:`ExperimentReport`: a fixed-schema CSV
 (`model,n,v,rule,metric,mean_ratio,violation_rate,unique_fraction,mean_time`,
 '.' decimals, ',' separator, blank cells where a column does not apply)
 plus a JSON twin carrying one record per instance.  Every row statistic
-is computed from those records and nothing else: a ratio is the mean of a
-record field, a rate or fraction is a count of records over the cell size.
-With ``include_times`` each record also carries a ``times`` dict of
-measured wall-clock seconds, and ``mean_time`` is the mean of one of its
-keys; without it neither the records nor the rows hold a time.  Given the
-same seed the scientific columns are reproducible bit for bit, so reports
-meant for byte diffing should be produced with ``include_times=False``.
+is computed from those records alone.  With ``include_times`` each record
+also carries a ``times`` dict of measured wall-clock seconds, which
+``mean_time`` averages; without it no record or row holds a time, and a
+report is reproducible bit for bit from its seed.
 """
 
 from __future__ import annotations
@@ -90,7 +87,11 @@ class ExperimentReport:
 
 
 def instance_seed(base: int, *key: int) -> int:
-    """Deterministic child seed for one instance of one experiment cell."""
+    """Deterministic child seed for one instance of one experiment cell.
+
+    The base seed and every key are reduced mod 2**32 before use, so a base
+    of ``2**32`` gives the same children, and the same instances, as ``0``.
+    """
     entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
