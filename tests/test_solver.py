@@ -19,8 +19,10 @@ from collective_schedules import (
     brute_force_oracle,
     enumerate_optima,
     generate,
+    local_search,
     solve_exact,
 )
+from test_delta_search import reference_local_search
 
 MODELS = ("uniform", "plackett-luce")
 
@@ -298,3 +300,41 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def guard_instances(draw):
+    """Up to 8 tasks: tie-heavy ones (one or two voters, equal lengths), huge
+    multiplicities, and lengths up to 10**12, which outgrow any per-start
+    cost table."""
+    n = draw(st.integers(1, 8))
+    length = st.one_of(st.integers(1, 4), st.integers(1, 10**12))
+    if draw(st.booleans()):
+        lengths = [draw(length)] * n
+    else:
+        lengths = draw(st.lists(length, min_size=n, max_size=n))
+    tasks = TaskSet(tuple((f"t{i}", x) for i, x in enumerate(lengths)))
+    groups = draw(st.one_of(st.sampled_from((1, 2)), st.integers(1, 5)))
+    ballots = [draw(st.permutations(tasks.ids)) for _ in range(groups)]
+    mults = draw(st.lists(st.one_of(st.integers(1, 5), st.integers(1, 2**50)), min_size=groups, max_size=groups))
+    return tasks, PreferenceProfile.of(tasks, *zip(ballots, mults))
+
+
+class TestExactSolveMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(instance=guard_instances(), objective=st.sampled_from(list(Objective)), data=st.data())
+    def test_score_count_optima_and_local_search(self, instance, objective, data):
+        tasks, profile = instance
+        oracle = brute_force_oracle(tasks, profile, objective)
+        count = oracle.optimum_count
+        plain = solve_exact(tasks, profile, objective)
+        assert (plain.optimal_score, plain.optimum_count, plain.schedule) == (oracle.optimal_score, count, oracle.schedule)
+        cap = data.draw(st.integers(1, count + 1), label="cap")
+        capped = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
+        assert capped.optima == oracle.optima[:cap]
+        assert capped.optima_complete == (count <= cap)
+        start = Schedule(tuple(data.draw(st.permutations(tasks.ids), label="start")))
+        max_steps = data.draw(st.sampled_from([0, 1, None]), label="max_steps")
+        assert local_search(start, profile, objective, max_steps) == reference_local_search(
+            start, profile, objective, max_steps
+        )
