@@ -93,10 +93,11 @@ def local_search(
 
     lengths = compiled.lengths
     step, pair = _transitions(compiled, objective)
-    current_score = start = 0
-    for pos, i in enumerate(order):
-        current_score += step(i, start, order[pos:])
+    current_score = start = mask = 0
+    for i in order:
+        current_score += step(i, mask, start)
         start += lengths[i]
+        mask |= 1 << i
 
     start_score = current_score
     steps: list[LocalSearchStep] = []

@@ -177,37 +177,54 @@ def _due_prefix_tables(compiled: CompiledProfile):
     return tables
 
 
+# Largest n * total load for which the deviation and tardiness charges are
+# tabulated for every start time; longer instances bisect the due tables.
+ROW_CAP = 1 << 16
+
+
 def _transitions(compiled: CompiledProfile, objective: Objective):
     """``(step, pair)``: the objective's cost split into per-task charges.
 
-    ``step(i, start, rem)`` is the charge for running task ``i`` from time
-    ``start`` while the tasks in ``rem`` (``i`` among them) have not run
-    yet; an order's score is the sum of its steps.  ``pair(a, b, start)``
-    holds the terms that change when adjacent ``a`` then ``b``, starting at
-    ``start``, swap places: the swap changes the score by
+    ``step(i, mask, start)`` is the charge for running task ``i`` from time
+    ``start`` once the tasks in the bitmask ``mask`` have run (``i`` not
+    among them); an order's score is the sum of its steps.  ``pair(a, b,
+    start)`` holds the terms that change when adjacent ``a`` then ``b``,
+    starting at ``start``, swap places: the swap changes the score by
     ``pair(b, a, start) - pair(a, b, start)``.
+
+    Both are O(1) lookups.  The pairwise charge reads two subset-sum tables
+    per task, one for each half of the mask (2 n 2^(n/2) entries in all).
+    The deviation and tardiness charges depend only on the finish time and
+    are read from one row per task over every start, unless ``n`` times the
+    total load exceeds ``ROW_CAP``; then each charge bisects the due tables
+    in O(log groups).
     """
     lengths = compiled.lengths
+    n = len(lengths)
     if objective is Objective.PTA_KENDALL_TAU:
-        # running i ahead of a waiting j costs lengths[i] per voter wanting j first
+        # running i ahead of a waiting j costs lengths[i] per voter wanting j
+        # first, so the charge is lengths[i] times column i summed over the
+        # tasks not in the mask
         counts = _pair_counts(compiled)
-        cols = [[row[i] for row in counts] for i in range(len(lengths))]  # cols[i][j] = counts[j][i]
+        half = n // 2
+        low_bits = (1 << half) - 1
+        colsum = [sum(row[i] for row in counts) for i in range(n)]
+        lo = [_subset_sums([counts[j][i] for j in range(half)]) for i in range(n)]
+        hi = [_subset_sums([counts[j][i] for j in range(half, n)]) for i in range(n)]
 
-        def step(i: int, start: int, rem) -> int:
-            col = cols[i]
-            return lengths[i] * sum(col[j] for j in rem if j != i)
+        def step(i: int, mask: int, start: int) -> int:
+            return lengths[i] * (colsum[i] - lo[i][mask & low_bits] - hi[i][mask >> half])
 
         def pair(a: int, b: int, start: int) -> int:
             return lengths[a] * counts[b][a]
 
         return step, pair
 
-    # deviation or tardiness of task i finishing at start + lengths[i], in
-    # O(log groups) from the due tables
+    # deviation or tardiness of task i finishing at start + lengths[i]
     tardy_only = objective is Objective.SUM_TARDINESS
     table = _due_prefix_tables(compiled)
 
-    def step(i: int, start: int, rem) -> int:
+    def charge(i: int, start: int) -> int:
         dues, cum_mult, cum_due, total_mult, total_due = table[i]
         finish = start + lengths[i]
         r = bisect_right(dues, finish)
@@ -216,10 +233,31 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
             return late
         return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
 
+    total_load = sum(lengths)
+    if n * total_load <= ROW_CAP:
+        rows = [[charge(i, start) for start in range(total_load - lengths[i] + 1)] for i in range(n)]
+
+        def step(i: int, mask: int, start: int) -> int:
+            return rows[i][start]
+
+    else:
+
+        def step(i: int, mask: int, start: int) -> int:
+            return charge(i, start)
+
     def pair(a: int, b: int, start: int) -> int:
-        return step(a, start, ()) + step(b, start + lengths[a], ())
+        return step(a, 0, start) + step(b, 0, start + lengths[a])
 
     return step, pair
+
+
+def _subset_sums(values: list[int]) -> list[int]:
+    """``sums[m]``: the sum of ``values[k]`` over the set bits ``k`` of ``m``."""
+    sums = [0] * (1 << len(values))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
+    return sums
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:

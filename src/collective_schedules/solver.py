@@ -144,15 +144,17 @@ def solve_exact(
     ways = [0] * (full + 1)
     ways[full] = 1
     for mask in range(full - 1, -1, -1):
-        rem = [i for i in range(n) if not mask & bit[i]]
         start = load[mask]
         best = None
-        for i in rem:
-            cand = step(i, start, rem) + h[mask | bit[i]]
+        for i in range(n):
+            if mask & bit[i]:
+                continue
+            nxt = mask | bit[i]
+            cand = step(i, mask, start) + h[nxt]
             if best is None or cand < best:
-                best, count = cand, ways[mask | bit[i]]
+                best, count = cand, ways[nxt]
             elif cand == best:
-                count += ways[mask | bit[i]]
+                count += ways[nxt]
         h[mask] = best
         ways[mask] = count
 
@@ -204,10 +206,9 @@ def _optimal_orders(n, h, load, step):
         if mask == full:
             yield prefix
             continue
-        rem = [i for i in range(n) if not mask & 1 << i]
         # pushed largest first, so the smallest index is popped first
         stack.extend(
             (mask | 1 << i, prefix + (i,))
-            for i in reversed(rem)
-            if step(i, load[mask], rem) + h[mask | 1 << i] == h[mask]
+            for i in range(n - 1, -1, -1)
+            if not mask & 1 << i and step(i, mask, load[mask]) + h[mask | 1 << i] == h[mask]
         )
