@@ -18,8 +18,6 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidReductionError, MismatchedTaskSetError
 from .metrics import pairwise_counts, score
 from .model import (
@@ -198,6 +196,8 @@ def reinforcement_check(
     set is exactly that intersection.  Undecided if enumeration hits
     ``cap``.
     """
+    import numpy as np  # imported on use: the solve path never loads numpy
+
     if part_a.tasks != part_b.tasks:
         raise MismatchedTaskSetError("both profiles must range over the same task set")
     tasks = part_a.tasks

@@ -22,8 +22,6 @@ from math import inf
 from statistics import fmean
 from typing import Any, Sequence
 
-import numpy as np
-
 from .axioms import (
     _consistent_order,
     _first_inverted,
@@ -92,6 +90,8 @@ def instance_seed(base: int, *key: int) -> int:
     The base seed and every key are reduced mod 2**32 before use, so a base
     of ``2**32`` gives the same children, and the same instances, as ``0``.
     """
+    import numpy as np  # imported on use: the solve path never loads numpy
+
     entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
@@ -250,6 +250,8 @@ def run_lrm_audit(
     value, a harsher perturbation that roughly triples the violation rate
     of the deviation rule.
     """
+    import numpy as np  # imported on use: the solve path never loads numpy
+
     _require_count("instances", instances)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidSpecError
 from .model import PreferenceProfile, TaskSet, _shown
 
@@ -79,6 +77,8 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
     """Draw one instance; equal specs produce identical instances."""
+    import numpy as np  # imported on use: the solve path never loads numpy
+
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.length_range
     lengths = rng.integers(lo, hi + 1, size=spec.n)

@@ -230,6 +230,20 @@ class TestCliSolve:
         assert "error: not UTF-8" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_solve_never_loads_numpy(self, instance_file):
+        # numpy is most of the package's import time, and no rule needs it
+        script = f"""
+import sys
+from collective_schedules.cli import main
+from collective_schedules.rules import RULE_NAMES
+assert "numpy" not in sys.modules, "loaded by import"
+for rule in RULE_NAMES:
+    assert main(["solve", "--rule", rule, "--input", {instance_file!r}, "--all-optima"]) == 0
+    assert "numpy" not in sys.modules, "loaded by " + rule
+"""
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_out_flag_writes_report(self, instance_file, tmp_path):
         target = tmp_path / "report.json"
         argv = ["solve", "--rule", "sum-tard", "--input", instance_file, "--out", str(target)]
