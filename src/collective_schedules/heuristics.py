@@ -76,9 +76,9 @@ def local_search(
     strictly decreasing.
 
     The profile is validated once.  A swap only moves the two swapped
-    tasks, so it is scored by its change in score: O(log groups) for
-    deviation and tardiness, from the per-task sorted due tables, and O(1)
-    for the pairwise objective.
+    tasks, so it is scored by its change in score, read from the
+    objective's transition charges: O(1), or O(log groups) for deviation
+    and tardiness on instances too long to tabulate every start.
     """
     objective = Objective(objective)
     compiled = _compile_profile(profile)

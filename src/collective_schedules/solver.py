@@ -8,8 +8,10 @@ Two independent routes to the optimum:
 * ``solve_exact`` runs a dynamic program over the 2^n subsets of tasks.
   Appending one task to a fixed prefix changes each objective by an amount
   that depends only on the prefix load (for deviation and tardiness) or on
-  the set of tasks still waiting (for the pairwise objective), so optimal
-  completions of every subset can be combined bottom-up.
+  the set of tasks already scheduled (for the pairwise objective), so
+  optimal completions of every subset can be combined bottom-up.  Each
+  transition is charged in O(1) from the scheduled-set bitmask (see
+  ``metrics._transitions``), so a fill costs O(n 2^n).
 
 Both report the same exact integer optimum; ties are always broken toward
 the schedule whose sequence of declared task indices is lexicographically
