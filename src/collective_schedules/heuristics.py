@@ -77,8 +77,9 @@ def local_search(
 
     The profile is validated once.  A swap only moves the two swapped
     tasks, so it is scored by its change in score, read from the
-    objective's transition charges: O(1), or O(log groups) for deviation
-    and tardiness on instances too long to tabulate every start.
+    objective's untabulated transition charges: O(1) for the pairwise
+    objective and O(log groups) for deviation and tardiness, after an
+    O(groups n^2) setup at most, whatever the number of tasks.
     """
     objective = Objective(objective)
     compiled = _compile_profile(profile)

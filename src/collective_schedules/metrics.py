@@ -177,12 +177,7 @@ def _due_prefix_tables(compiled: CompiledProfile):
     return tables
 
 
-# Largest n * total load for which the deviation and tardiness charges are
-# tabulated for every start time; longer instances bisect the due tables.
-ROW_CAP = 1 << 16
-
-
-def _transitions(compiled: CompiledProfile, objective: Objective):
+def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool = False):
     """``(step, pair)``: the objective's cost split into per-task charges.
 
     ``step(i, mask, start)`` is the charge for running task ``i`` from time
@@ -192,12 +187,17 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
     starting at ``start``, swap places: the swap changes the score by
     ``pair(b, a, start) - pair(a, b, start)``.
 
-    Both are O(1) lookups.  The pairwise charge reads two subset-sum tables
-    per task, one for each half of the mask (2 n 2^(n/2) entries in all).
-    The deviation and tardiness charges depend only on the finish time and
-    are read from one row per task over every start, unless ``n`` times the
-    total load exceeds ``ROW_CAP``; then each charge bisects the due tables
-    in O(log groups).
+    The pairwise ``step`` sums a column over the tasks not in the mask in
+    O(n); the deviation and tardiness charges depend only on the finish
+    time and bisect the due tables in O(log groups).  The exact solver,
+    which makes n 2^(n-1) step calls, passes ``tabulate`` to make each an
+    O(1) lookup: the pairwise charge reads two subset-sum tables per task,
+    one for each half of the mask (2 n 2^(n/2) entries in all), and the
+    deviation and tardiness charges read one row per task over every
+    start.  The rows are built only while they hold at most 2^n entries
+    (``n`` times the total load), no more than the solver's own value
+    table and at most 2/n of the charges they replace; longer instances,
+    whose lengths may reach 10^12, keep the bisect.
     """
     lengths = compiled.lengths
     n = len(lengths)
@@ -206,14 +206,21 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
         # first, so the charge is lengths[i] times column i summed over the
         # tasks not in the mask
         counts = _pair_counts(compiled)
-        half = n // 2
-        low_bits = (1 << half) - 1
-        colsum = [sum(row[i] for row in counts) for i in range(n)]
-        lo = [_subset_sums([counts[j][i] for j in range(half)]) for i in range(n)]
-        hi = [_subset_sums([counts[j][i] for j in range(half, n)]) for i in range(n)]
+        cols = [[row[i] for row in counts] for i in range(n)]  # cols[i][j] = counts[j][i]
+        if tabulate:
+            half = n // 2
+            low_bits = (1 << half) - 1
+            colsum = [sum(col) for col in cols]
+            lo = [_subset_sums(col[:half]) for col in cols]
+            hi = [_subset_sums(col[half:]) for col in cols]
 
-        def step(i: int, mask: int, start: int) -> int:
-            return lengths[i] * (colsum[i] - lo[i][mask & low_bits] - hi[i][mask >> half])
+            def step(i: int, mask: int, start: int) -> int:
+                return lengths[i] * (colsum[i] - lo[i][mask & low_bits] - hi[i][mask >> half])
+
+        else:
+
+            def step(i: int, mask: int, start: int) -> int:
+                return lengths[i] * sum(c for j, c in enumerate(cols[i]) if not mask >> j & 1)
 
         def pair(a: int, b: int, start: int) -> int:
             return lengths[a] * counts[b][a]
@@ -234,7 +241,7 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
         return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
 
     total_load = sum(lengths)
-    if n * total_load <= ROW_CAP:
+    if tabulate and n * total_load <= 1 << n:
         rows = [[charge(i, start) for start in range(total_load - lengths[i] + 1)] for i in range(n)]
 
         def step(i: int, mask: int, start: int) -> int:
@@ -246,7 +253,7 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
             return charge(i, start)
 
     def pair(a: int, b: int, start: int) -> int:
-        return step(a, 0, start) + step(b, 0, start + lengths[a])
+        return charge(a, start) + charge(b, start + lengths[a])
 
     return step, pair
 

@@ -128,7 +128,7 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    step, _ = _transitions(_compile_profile(profile), objective)
+    step, _ = _transitions(_compile_profile(profile), objective, tabulate=True)
 
     lengths = tasks.lengths
     full = (1 << n) - 1
