@@ -291,3 +291,42 @@ def test_row_statistics_recompute_from_instance_records(pipeline, seed, include_
         else:
             assert row.mean_time is None, row
 
+
+
+# The keys of each pipeline's instance records, in order, and of their
+# times dicts.  Records hold a subset of their pipeline's keys, in this
+# order: audit-axioms adds kemeny_optima_consistent only where a consistent
+# schedule exists, lrm-audit adds witnesses only where a rule fails.
+RULE_TIMES = ("sum-dev", "sum-tard", "pta-kemeny")
+RECORD_KEYS = {
+    "compare": (("model", "n", "v", "seed", "ratios", "times"), RULE_TIMES),
+    "lmt-eval": (
+        ("model", "n", "v", "seed", "ratio_lmt", "ratio_lmt_ls", "search_steps",
+         "terminated_by", "times"),
+        ("lmt", "lmt-ls", "sum-dev"),
+    ),
+    "lrm-audit": (
+        ("model", "seed", "target", "old_length", "new_length", "verdicts", "witnesses",
+         "times"),
+        ("instance",),
+    ),
+    "uniqueness-audit": (("model", "n", "v", "seed", "optimum_count", "times"), RULE_TIMES),
+    "audit-axioms": (
+        ("model", "n", "v", "seed", "has_consistent_schedule", "rules",
+         "kemeny_optima_consistent", "times"),
+        ("instance",),
+    ),
+}
+OPTIONAL_KEYS = {"kemeny_optima_consistent", "witnesses"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pipeline", sorted(RECOMPUTED))
+def test_timed_record_keys_keep_their_order(pipeline, seed):
+    run, _ = RECOMPUTED[pipeline]
+    keys, time_keys = RECORD_KEYS[pipeline]
+    for record in run(seed, True).instances:
+        assert list(record) == [k for k in keys if k in record], record
+        assert set(keys) - set(record) <= OPTIONAL_KEYS, record
+        assert list(record)[-1] == "times"
+        assert tuple(record["times"]) == time_keys

@@ -22,6 +22,7 @@ from collective_schedules import (
 )
 from collective_schedules.cli import main
 from collective_schedules.gallery import three_task_example
+from collective_schedules.rules import EXACT_RULES, RULE_NAMES
 
 
 # Texts that make ``json.loads`` fail with something other than a decode
@@ -107,6 +108,17 @@ class TestInstanceFormat:
             read_instance(path)
 
 
+# The keys of each rule's `solve` payload, in order, without wall_time_s;
+# --all-optima appends "optima" for the exact rules.
+EXACT_KEYS = ["rule", "objective", "score", "schedule", "optimum_count", "optima_complete",
+              "states_explored"]
+SOLVE_KEYS = {
+    **{rule: EXACT_KEYS for rule in EXACT_RULES},
+    "lmt": ["rule", "objective", "score", "schedule"],
+    "lmt-ls": ["rule", "objective", "search_steps", "terminated_by", "score", "schedule"],
+}
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     tasks, profile = three_task_example()
@@ -184,6 +196,19 @@ class TestCliSolve:
         assert payload["schedule"] == ["2", "1", "3"]
         assert payload["search_steps"] == 0
         assert payload["terminated_by"] == "local-optimum"
+
+    @pytest.mark.parametrize("extra", [[], ["--all-optima"], ["--all-optima", "--cap", "1"]])
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_payload_key_order(self, rule, extra, instance_file, capsys):
+        assert main(["solve", "--rule", rule, "--input", instance_file, *extra]) == 0
+        keys = [key for key in json.loads(capsys.readouterr().out) if key != "wall_time_s"]
+        assert keys == SOLVE_KEYS[rule] + (["optima"] if extra and rule in EXACT_RULES else [])
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_evaluate_payload_key_order(self, rule, instance_file, capsys):
+        argv = ["solve", "--rule", rule, "--input", instance_file, "--evaluate", "2,1,3"]
+        assert main(argv) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["rule", "objective", "schedule", "score"]
 
     def test_size_guard_exits_3(self, instance_file, capsys):
         argv = ["solve", "--rule", "sum-dev", "--input", instance_file, "--max-tasks", "2"]
