@@ -198,6 +198,8 @@ def reinforcement_check(
     """
     import numpy as np  # imported on use: the solve path never loads numpy
 
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
+        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
     if part_a.tasks != part_b.tasks:
         raise MismatchedTaskSetError("both profiles must range over the same task set")
     tasks = part_a.tasks

@@ -1,8 +1,8 @@
 """Command-line harness around the solvers, audits, and experiments.
 
-Exit codes: 0 on success, 2 for invalid input (bad arguments, malformed
-instance files, profiles that fail validation), 3 when an instance
-exceeds the exact-solver size guard.
+Exit codes: 0 on success, 3 when an instance exceeds the exact-solver
+size guard, 2 for invalid input (bad arguments, malformed instance files,
+profiles that fail validation) and for every other package error.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (
-    DuplicateTaskError,
-    InstanceFormatError,
-    InvalidReductionError,
-    InvalidSpecError,
-    MismatchedTaskSetError,
-    TooManyTasksError,
-    UnknownTaskError,
-)
+from .errors import CollectiveSchedulesError, InvalidSpecError, TooManyTasksError
 from .experiments import (
     run_audit_axioms,
     run_compare,
@@ -40,42 +32,42 @@ from .solver import SolveOptions, solve_exact
 
 # subcommand -> (pipeline, help, flags); each flag is (flag, pipeline
 # keyword, argparse options).  Every pipeline subcommand also takes
-# --seed, --out, --json and --no-times.
+# --seed, --out, --json and --no-times.  No flag has a default: one left
+# out is not passed, so the pipeline's signature supplies it.
 _PIPELINES = {
     "compare": (run_compare, "cross-evaluate the exact rules under all metrics", (
-        ("--models", "models", {"default": "u,c", "help": "comma-separated ballot models"}),
-        ("--tasks", "ns", {"default": "5,10", "help": "comma-separated task counts"}),
-        ("--voters", "v", {"type": int, "default": 100}),
-        ("--instances", "instances", {"type": int, "default": 50}),
+        ("--models", "models", {"help": "comma-separated ballot models"}),
+        ("--tasks", "ns", {"help": "comma-separated task counts"}),
+        ("--voters", "v", {"type": int}),
+        ("--instances", "instances", {"type": int}),
     )),
     "lmt-eval": (run_lmt_eval, "median heuristic quality versus the exact optimum", (
-        ("--model", "model", {"default": "uniform"}),
-        ("--tasks", "n", {"type": int, "default": 10}),
-        ("--voters", "v", {"type": int, "default": 100}),
-        ("--instances", "instances", {"type": int, "default": 100}),
+        ("--model", "model", {}),
+        ("--tasks", "n", {"type": int}),
+        ("--voters", "v", {"type": int}),
+        ("--instances", "instances", {"type": int}),
     )),
     "lrm-audit": (run_lrm_audit, "length-reduction monotonicity audit", (
-        ("--instances", "instances", {"type": int, "default": 1200}),
-        ("--tasks", "n", {"type": int, "default": 8}),
-        ("--voters", "v", {"type": int, "default": 50}),
+        ("--instances", "instances", {"type": int}),
+        ("--tasks", "n", {"type": int}),
+        ("--voters", "v", {"type": int}),
         ("--reduction", "reduction", {
             "choices": ("unit", "uniform"),
-            "default": "unit",
             "help": "shrink the target by one unit or to a uniformly drawn smaller length",
         }),
     )),
     "uniqueness-audit": (run_uniqueness_audit, "how often each rule's optimum is unique", (
-        ("--models", "models", {"default": "u,c"}),
-        ("--tasks", "ns", {"default": "5,8"}),
-        ("--voters", "vs", {"default": "100,250", "help": "comma-separated voter counts"}),
-        ("--instances", "instances", {"type": int, "default": 100}),
+        ("--models", "models", {}),
+        ("--tasks", "ns", {}),
+        ("--voters", "vs", {"help": "comma-separated voter counts"}),
+        ("--instances", "instances", {"type": int}),
     )),
     "audit-axioms": (run_audit_axioms, "precedence and unanimity verdicts per rule", (
-        ("--models", "models", {"default": "u,c"}),
-        ("--tasks", "ns", {"default": "6,8"}),
-        ("--voters", "v", {"type": int, "default": 50}),
-        ("--instances", "instances", {"type": int, "default": 100}),
-        ("--cap", "cap", {"type": int, "default": 1000}),
+        ("--models", "models", {}),
+        ("--tasks", "ns", {}),
+        ("--voters", "v", {"type": int}),
+        ("--instances", "instances", {"type": int}),
+        ("--cap", "cap", {"type": int}),
     )),
 }
 
@@ -88,16 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyTasksError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (
-        InstanceFormatError,
-        InvalidSpecError,
-        InvalidReductionError,
-        UnknownTaskError,
-        DuplicateTaskError,
-        MismatchedTaskSetError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (CollectiveSchedulesError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -135,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, (pipeline, help_text, flags) in _PIPELINES.items():
         cmd = sub.add_parser(command, help=help_text)
+        flags = (*flags, ("--seed", "seed", {"type": int}))
         keywords = {cmd.add_argument(flag, **options).dest: keyword for flag, keyword, options in flags}
-        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", help="write the CSV here instead of stdout")
         cmd.add_argument("--json", dest="json_out", help="write the JSON twin here")
         cmd.add_argument(
@@ -170,62 +153,47 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"invalid instance: {defect.message}", file=sys.stderr)
         return 2
     objective = RULE_OBJECTIVE[args.rule]
-
+    payload = {"rule": args.rule, "objective": objective.value}
     if args.evaluate is not None:
         order = Schedule(tuple(tid.strip() for tid in args.evaluate.split(",")))
-        payload = {
-            "rule": args.rule,
-            "objective": objective.value,
-            "schedule": list(order.order),
-            "score": score(order, profile, objective),
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-        return 0
-
-    if args.rule in EXACT_RULES:
-        options = SolveOptions(
-            enumerate_all=args.all_optima,
-            optimum_cap=args.cap,
-            max_tasks=args.max_tasks,
-        )
+        payload.update(schedule=list(order.order), score=score(order, profile, objective))
+    elif args.rule in EXACT_RULES:
+        options = SolveOptions(enumerate_all=args.all_optima, optimum_cap=args.cap, max_tasks=args.max_tasks)
         report = solve_exact(tasks, profile, objective, options)
-        payload = {
-            "rule": args.rule,
-            "objective": objective.value,
-            "score": report.optimal_score,
-            "schedule": list(report.schedule.order),
-            "optimum_count": report.optimum_count,
-            "optima_complete": report.optima_complete,
-            "states_explored": report.states_explored,
-            "wall_time_s": report.wall_time_s,
-        }
+        payload.update(
+            score=report.optimal_score,
+            schedule=list(report.schedule.order),
+            optimum_count=report.optimum_count,
+            optima_complete=report.optima_complete,
+            states_explored=report.states_explored,
+            wall_time_s=report.wall_time_s,
+        )
         if report.optima is not None:
             payload["optima"] = [list(s.order) for s in report.optima]
     else:
         started = time.perf_counter()
         schedule = lmt(tasks, profile)
-        payload = {"rule": args.rule, "objective": objective.value}
         if args.rule == "lmt-ls":
             schedule, trace = local_search(schedule, profile, objective)
-            payload["search_steps"] = len(trace.steps)
-            payload["terminated_by"] = trace.terminated_by
-            payload["score"] = trace.final_score
+            payload.update(
+                search_steps=len(trace.steps), terminated_by=trace.terminated_by, score=trace.final_score
+            )
         else:
             payload["score"] = score(schedule, profile, objective)
-        payload["schedule"] = list(schedule.order)
-        payload["wall_time_s"] = time.perf_counter() - started
+        payload.update(schedule=list(schedule.order), wall_time_s=time.perf_counter() - started)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    kwargs = {keyword: getattr(args, dest) for dest, keyword in args.keywords.items()}
+    given = ((keyword, getattr(args, dest)) for dest, keyword in args.keywords.items())
+    kwargs = {keyword: value for keyword, value in given if value is not None}
     # comma-separated lists are parsed here, not by argparse, so that a bad
     # list raises InvalidSpecError with its own message
     for keyword, parse in (("models", _split), ("ns", _int_list), ("vs", _int_list)):
         if keyword in kwargs:
             kwargs[keyword] = parse(kwargs[keyword])
-    report = args.pipeline(**kwargs, seed=args.seed, include_times=not args.no_times)
+    report = args.pipeline(**kwargs, include_times=not args.no_times)
     _write_text(args.out, report.to_csv())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())

@@ -35,7 +35,7 @@ from .heuristics import lmt, local_search
 from .metrics import _compile_profile, _evaluator
 from .model import Objective, _require_permutation
 from .rules import EXACT_RULES, apply_rule
-from .solver import SolveOptions, solve_exact
+from .solver import SolveOptions, SolveReport, solve_exact
 
 @dataclass(frozen=True, slots=True)
 class ReportRow:
@@ -99,19 +99,21 @@ def instance_seed(base: int, *key: int) -> int:
 def _cells(models, ns, vs, instances, seed, length_range):
     """The seeded corpus shared by the pipelines, one cell per (model, n, v).
 
-    Yields ``(model, n, v, draws)``.  ``draws`` yields ``(child, tasks,
+    Yields ``(model, n, v, draws)``.  ``draws`` yields ``(record, tasks,
     profile)`` for each instance ``i`` of the cell, generated from the
     child seed ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a
-    cell's instances do not depend on which other cells are run.  A
-    pipeline appends one record per draw, so after a cell its records are
-    the last ``instances`` ones.
+    cell's instances do not depend on which other cells are run.  This
+    starts each instance's record with its ``model``, ``n``, ``v`` and
+    child ``seed``; a pipeline adds its own fields and appends the record,
+    so after a cell its records are the last ``instances`` ones.
     """
     _require_count("instances", instances)
 
     def draws(model, n, v):
         for i in range(instances):
             child = instance_seed(seed, MODELS.index(model), n, v, i)
-            yield (child, *generate(GenSpec(n, v, model, length_range, child)))
+            record = {"model": model, "n": n, "v": v, "seed": child}
+            yield (record, *generate(GenSpec(n, v, model, length_range, child)))
 
     for model, n, v in product(models, ns, vs):
         yield model, n, v, draws(model, n, v)
@@ -136,14 +138,11 @@ def run_compare(
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
-        for child, tasks, profile in draws:
-            reports = {
-                rule: solve_exact(tasks, profile, objective)
-                for rule, objective in EXACT_RULES.items()
-            }
+        for detail, tasks, profile in draws:
+            reports = _solve_exact_rules(tasks, profile)
             compiled = _compile_profile(profile)
             evaluate = {rule: _evaluator(compiled, objective) for rule, objective in EXACT_RULES.items()}
-            detail = {"model": model, "n": n, "v": v, "seed": child, "ratios": {}}
+            detail["ratios"] = {}
             for rule, rep in reports.items():
                 order = _require_permutation(rep.schedule, tasks)
                 detail["ratios"][rule] = {
@@ -191,7 +190,7 @@ def run_lmt_eval(
     model = canonical_model(model)
     details: list[dict[str, Any]] = []
     ((_, _, _, draws),) = _cells((model,), (n,), (v,), instances, seed, length_range)
-    for child, tasks, profile in draws:
+    for detail, tasks, profile in draws:
         exact = solve_exact(tasks, profile, Objective.SUM_DEVIATION)
 
         started = time.perf_counter()
@@ -200,16 +199,12 @@ def run_lmt_eval(
         improved, trace = local_search(start, profile, Objective.SUM_DEVIATION)
         ls_seconds = time.perf_counter() - started
 
-        detail = {
-            "model": model,
-            "n": n,
-            "v": v,
-            "seed": child,
-            "ratio_lmt": _ratio(trace.start_score, exact.optimal_score),
-            "ratio_lmt_ls": _ratio(trace.final_score, exact.optimal_score),
-            "search_steps": len(trace.steps),
-            "terminated_by": trace.terminated_by,
-        }
+        detail.update(
+            ratio_lmt=_ratio(trace.start_score, exact.optimal_score),
+            ratio_lmt_ls=_ratio(trace.final_score, exact.optimal_score),
+            search_steps=len(trace.steps),
+            terminated_by=trace.terminated_by,
+        )
         if include_times:
             detail["times"] = {"lmt": lmt_seconds, "lmt-ls": ls_seconds, "sum-dev": exact.wall_time_s}
         details.append(detail)
@@ -338,13 +333,9 @@ def run_uniqueness_audit(
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
-        for child, tasks, profile in draws:
-            reports = {
-                rule: solve_exact(tasks, profile, objective)
-                for rule, objective in EXACT_RULES.items()
-            }
-            counts = {rule: report.optimum_count for rule, report in reports.items()}
-            detail = {"model": model, "n": n, "v": v, "seed": child, "optimum_count": counts}
+        for detail, tasks, profile in draws:
+            reports = _solve_exact_rules(tasks, profile)
+            detail["optimum_count"] = {rule: report.optimum_count for rule, report in reports.items()}
             if include_times:
                 detail["times"] = {rule: report.wall_time_s for rule, report in reports.items()}
             details.append(detail)
@@ -393,19 +384,12 @@ def run_audit_axioms(
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
-        for child, tasks, profile in draws:
+        for detail, tasks, profile in draws:
             started = time.perf_counter()
             binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
             unanimous = unanimous_pairs(profile)
             consistent = _consistent_order(tasks, binding) is not None
-            detail = {
-                "model": model,
-                "n": n,
-                "v": v,
-                "seed": child,
-                "has_consistent_schedule": consistent,
-                "rules": {},
-            }
+            detail.update(has_consistent_schedule=consistent, rules={})
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
             options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent else None
@@ -461,6 +445,10 @@ def run_audit_axioms(
         "length_range": list(length_range),
     }
     return ExperimentReport("audit-axioms", params, tuple(rows), tuple(details))
+
+
+def _solve_exact_rules(tasks, profile) -> dict[str, SolveReport]:
+    return {rule: solve_exact(tasks, profile, objective) for rule, objective in EXACT_RULES.items()}
 
 
 def _cell(value: Any) -> Any:

@@ -61,8 +61,7 @@ def instance_from_dict(doc: Any) -> Instance:
 
 
 def dump_instance(tasks: TaskSet, profile: PreferenceProfile, out: TextIO) -> None:
-    json.dump(instance_to_dict(tasks, profile), out, indent=2)
-    out.write("\n")
+    out.write(dumps_instance(tasks, profile))
 
 
 def dumps_instance(tasks: TaskSet, profile: PreferenceProfile) -> str:

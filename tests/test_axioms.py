@@ -321,3 +321,17 @@ class TestReinforcement:
         other = PreferenceProfile.of(other_tasks, (("1", "2", "3"), 1))
         with pytest.raises(MismatchedTaskSetError):
             reinforcement_check(profile, other, Objective.SUM_DEVIATION)
+
+    @pytest.mark.parametrize("samples", [-1, True, 2.5])
+    def test_samples_must_be_a_nonnegative_int(self, example, samples):
+        tasks, profile = example
+        part_a = PreferenceProfile(tasks, profile.groups[:1])
+        part_b = PreferenceProfile(tasks, profile.groups[1:])
+        with pytest.raises(ValueError, match="samples"):
+            reinforcement_check(part_a, part_b, Objective.SUM_DEVIATION, samples=samples)
+
+    def test_zero_samples_checks_only_the_optima(self, example):
+        tasks, profile = example
+        part_a = PreferenceProfile(tasks, profile.groups[:1])
+        part_b = PreferenceProfile(tasks, profile.groups[1:])
+        assert reinforcement_check(part_a, part_b, Objective.SUM_DEVIATION, samples=0).holds is True

@@ -1,8 +1,10 @@
 """Instance files and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from collective_schedules import (
     read_instance,
     write_instance,
 )
+from collective_schedules import cli, errors
 from collective_schedules.cli import main
 from collective_schedules.gallery import three_task_example
 from collective_schedules.rules import EXACT_RULES, RULE_NAMES
@@ -106,6 +109,21 @@ class TestInstanceFormat:
         path.write_bytes(b"\xff\xfe{")
         with pytest.raises(InstanceFormatError, match="not UTF-8"):
             read_instance(path)
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports the package from this tree's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+# The package's base error class and every subclass of it.
+PACKAGE_ERRORS = [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.CollectiveSchedulesError)
+]
 
 
 # The keys of each rule's `solve` payload, in order, without wall_time_s;
@@ -215,6 +233,16 @@ class TestCliSolve:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda error: error.__name__)
+    def test_every_package_error_exits_cleanly(self, error, instance_file, monkeypatch, capsys):
+        def failing(path):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "read_instance", failing)
+        code = main(["solve", "--rule", "sum-dev", "--input", instance_file])
+        assert code == (3 if error is errors.TooManyTasksError else 2)
+        assert capsys.readouterr().err == "error: boom\n"
+
     def test_unknown_evaluate_task_exits_2(self, instance_file, capsys):
         argv = ["solve", "--rule", "sum-dev", "--input", instance_file, "--evaluate", "9,1,2"]
         assert main(argv) == 2
@@ -234,11 +262,7 @@ class TestCliSolve:
     def test_decoder_failures_exit_2_without_traceback(self, text, tmp_path):
         path = tmp_path / "instance.json"
         path.write_text(text)
-        run = subprocess.run(
-            [sys.executable, "-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        run = _python("-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path))
         assert run.returncode == 2
         assert "error: not valid JSON" in run.stderr
         assert "Traceback" not in run.stderr
@@ -246,11 +270,7 @@ class TestCliSolve:
     def test_file_that_is_not_utf8_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "instance.json"
         path.write_bytes(b"\xff\xfe{")
-        run = subprocess.run(
-            [sys.executable, "-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        run = _python("-m", "collective_schedules.cli", "solve", "--rule", "sum-dev", "--input", str(path))
         assert run.returncode == 2
         assert "error: not UTF-8" in run.stderr
         assert "Traceback" not in run.stderr
@@ -266,7 +286,7 @@ for rule in RULE_NAMES:
     assert main(["solve", "--rule", rule, "--input", {instance_file!r}, "--all-optima"]) == 0
     assert "numpy" not in sys.modules, "loaded by " + rule
 """
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        run = _python("-c", script)
         assert run.returncode == 0, run.stderr
 
     def test_out_flag_writes_report(self, instance_file, tmp_path):
