@@ -1,11 +1,15 @@
 """Core data types: task sets, schedules, profiles, and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_schedules import (
     DuplicateTaskError,
     MismatchedTaskSetError,
     PreferenceProfile,
+    ProfileDefect,
+    ProfileValidation,
     Schedule,
     TaskSet,
     UnknownTaskError,
@@ -14,6 +18,7 @@ from collective_schedules import (
     swap_tasks_in_profile,
     validate_profile,
 )
+from collective_schedules.model import _shown
 
 
 class TestTaskSet:
@@ -188,6 +193,78 @@ class TestValidation:
             require_valid_profile(PreferenceProfile(tasks, ((Schedule.of("a"), 1),)))
         with pytest.raises(ValueError):
             require_valid_profile(PreferenceProfile(tasks, ()))
+
+
+def reference_validate_profile(profile, tasks=None):
+    """The per-id defect loop run on every group, as validation first shipped."""
+    tasks = tasks if tasks is not None else profile.tasks
+    defects: list[ProfileDefect] = []
+    if tasks != profile.tasks:
+        defects.append(ProfileDefect(None, "mismatched-task-set", "profile was built over a different task set"))
+    if not profile.groups:
+        defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
+    voters = 0
+    ids = tasks.ids
+    for g, (schedule, mult) in enumerate(profile.groups):
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+            defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
+        else:
+            voters += mult
+        seen: set[str] = set()
+        for tid in schedule.order:
+            if tid not in tasks:
+                defects.append(ProfileDefect(g, "unknown-task", f"group {g} names unknown task {tid!r}"))
+            elif tid in seen:
+                defects.append(ProfileDefect(g, "duplicate-task", f"group {g} repeats task {tid!r}"))
+            seen.add(tid)
+        missing = [tid for tid in ids if tid not in seen]
+        if missing:
+            defects.append(ProfileDefect(g, "missing-task", f"group {g} is missing task(s) {missing}"))
+    if not defects and voters < 1:
+        defects.append(ProfileDefect(None, "no-voters", "profile has zero voters"))
+    return ProfileValidation(ok=not defects, voter_count=voters, task_count=tasks.n, defects=tuple(defects))
+
+
+good_multiplicities = st.one_of(st.integers(1, 3), st.integers(2**60, 2**62))
+bad_multiplicities = st.one_of(st.integers(-3, 0), st.booleans(), st.sampled_from([1.0, 2.5, "2", None]))
+
+
+@st.composite
+def defective_profiles(draw):
+    """A task set, a profile over it, and the task set validation is asked about.
+
+    Half the draws are valid profiles.  The rest draw ballots from the known
+    ids and a few unknown ones, with repeats and omissions, or as exact
+    permutations; multiplicities may be bools, zero, negative or not ints;
+    groups may be absent; the task set passed to validation may differ from
+    the profile's.
+    """
+    n = draw(st.integers(1, 5))
+    tasks = TaskSet(tuple((f"t{i}", draw(st.integers(1, 4))) for i in range(n)))
+    exact = st.permutations(tasks.ids)
+    if draw(st.booleans()):
+        groups = draw(st.lists(st.tuples(exact, good_multiplicities), min_size=1, max_size=4))
+        return PreferenceProfile(tasks, tuple((Schedule(tuple(o)), m) for o, m in groups)), draw(st.sampled_from([None, tasks]))
+    loose = st.lists(st.sampled_from(tasks.ids + ("u", "t9", "")), max_size=n + 2)
+    multiplicities = st.one_of(good_multiplicities, bad_multiplicities)
+    groups = draw(st.lists(st.tuples(st.one_of(exact, loose), multiplicities), max_size=4))
+    profile = PreferenceProfile(tasks, tuple((Schedule(tuple(order)), mult) for order, mult in groups))
+    other = st.one_of(
+        st.none(),
+        st.just(tasks),
+        st.just(TaskSet(tuple(reversed(tasks.tasks)))),
+        st.just(TaskSet(tasks.tasks + (("extra", 1),))),
+        st.just(TaskSet(((tasks.ids[0], tasks.lengths[0] + 1),) + tasks.tasks[1:])),
+    )
+    return profile, draw(other)
+
+
+class TestValidationMatchesPerIdLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(case=defective_profiles())
+    def test_whole_report_matches(self, case):
+        profile, tasks = case
+        assert validate_profile(profile, tasks) == reference_validate_profile(profile, tasks)
 
 
 class TestSwapTasksInProfile:
