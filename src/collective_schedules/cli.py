@@ -22,10 +22,10 @@ from .experiments import (
     run_uniqueness_audit,
 )
 from .generation import MODELS, GenSpec, canonical_model, generate
-from .heuristics import lmt, local_search
+from .heuristics import _lmt, _local_search
 from .io import dumps_instance, read_instance
-from .metrics import score
-from .model import Objective, Schedule, validate_profile
+from .metrics import _compile_valid_profile, _evaluator, score
+from .model import Schedule, _require_permutation, validate_profile
 from .rules import EXACT_RULES, RULE_NAMES, RULE_OBJECTIVE
 from .solver import SolveOptions, solve_exact
 
@@ -172,14 +172,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             payload["optima"] = [list(s.order) for s in report.optima]
     else:
         started = time.perf_counter()
-        schedule = lmt(tasks, profile)
+        # validated above: compiled once, its due tables shared by both steps
+        compiled = _compile_valid_profile(profile)
+        schedule = _lmt(compiled)
         if args.rule == "lmt-ls":
-            schedule, trace = local_search(schedule, profile, objective)
+            schedule, trace = _local_search(schedule, compiled, objective)
             payload.update(
                 search_steps=len(trace.steps), terminated_by=trace.terminated_by, score=trace.final_score
             )
         else:
-            payload["score"] = score(schedule, profile, objective)
+            payload["score"] = _evaluator(compiled, objective)(_require_permutation(schedule, tasks))
         payload.update(schedule=list(schedule.order), wall_time_s=time.perf_counter() - started)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .metrics import _compile_profile, _due_prefix_tables, _transitions
+from .metrics import CompiledProfile, _compile_profile, _transitions
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, _require_same_tasks
 
 
@@ -41,14 +41,7 @@ def median_completion_times(profile: PreferenceProfile) -> dict[str, int]:
     With ``v`` voters this is the ceil(v/2)-th smallest completion,
     multiplicities expanded.
     """
-    compiled = _compile_profile(profile)
-    threshold = (compiled.voter_count + 1) // 2
-    # cum_mult[r] weighs the r smallest dues, so the median is the last due
-    # of the shortest prefix reaching the threshold
-    return {
-        tid: dues[bisect_left(cum_mult, threshold) - 1]
-        for tid, (dues, cum_mult, *_) in zip(profile.tasks.ids, _due_prefix_tables(compiled))
-    }
+    return dict(zip(profile.tasks.ids, _medians(_compile_profile(profile))))
 
 
 def lmt(tasks: TaskSet, profile: PreferenceProfile) -> Schedule:
@@ -57,9 +50,7 @@ def lmt(tasks: TaskSet, profile: PreferenceProfile) -> Schedule:
     Ties go to the shorter task, then to the smaller task id.
     """
     _require_same_tasks(tasks, profile)
-    medians = median_completion_times(profile)
-    order = sorted(tasks.ids, key=lambda tid: (medians[tid], tasks.length(tid), tid))
-    return Schedule(tuple(order))
+    return _lmt(_compile_profile(profile))
 
 
 def local_search(
@@ -82,8 +73,34 @@ def local_search(
     O(groups n^2) setup at most, whatever the number of tasks.
     """
     objective = Objective(objective)
-    compiled = _compile_profile(profile)
-    tasks = profile.tasks
+    return _local_search(schedule, _compile_profile(profile), objective, max_steps)
+
+
+def _medians(compiled: CompiledProfile) -> list[int]:
+    """Each task's lower median completion, by declared index."""
+    threshold = (compiled.voter_count + 1) // 2
+    # cum_mult[r] weighs the r smallest dues, so the median is the last due
+    # of the shortest prefix reaching the threshold
+    return [dues[bisect_left(cum_mult, threshold) - 1] for dues, cum_mult, *_ in compiled.due_tables]
+
+
+def _lmt(compiled: CompiledProfile) -> Schedule:
+    """:func:`lmt` on a compiled profile."""
+    medians = _medians(compiled)
+    lengths = compiled.lengths
+    ids = compiled.tasks.ids
+    order = sorted(range(len(ids)), key=lambda i: (medians[i], lengths[i], ids[i]))
+    return Schedule(tuple(ids[i] for i in order))
+
+
+def _local_search(
+    schedule: Schedule,
+    compiled: CompiledProfile,
+    objective: Objective,
+    max_steps: int | None = None,
+) -> tuple[Schedule, LocalSearchTrace]:
+    """:func:`local_search` on a compiled profile, for an :class:`Objective` member."""
+    tasks = compiled.tasks
     order = list(_require_permutation(schedule, tasks))
     if max_steps is None:
         max_steps = 2 * tasks.n

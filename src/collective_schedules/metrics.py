@@ -14,7 +14,8 @@ All scores are exact Python integers.  The pairwise order counts are built
 once per profile (O(v n^2)) so that evaluating one more candidate schedule
 costs O(n^2) rather than another scan over the voters.  Scoring, solving
 and heuristic entry points validate their profile once and then read a
-:class:`CompiledProfile`, the same ballots in task-index space.
+:class:`CompiledProfile`, the same ballots in task-index space, which
+builds its pair counts and due tables once for every rule run on it.
 
 Only this module knows each objective: its full-score kernels score a whole
 order from the ballots (:func:`_evaluator`, for scoring and the brute-force
@@ -29,7 +30,9 @@ distances between two schedules; with unit-length tasks they coincide with
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from .errors import MismatchedTaskSetError
 from .model import (
@@ -65,7 +68,7 @@ class PairwiseCountMatrix:
 def pairwise_counts(profile: PreferenceProfile) -> PairwiseCountMatrix:
     """Count, for every ordered pair, the voters placing one task first."""
     compiled = _compile_profile(profile)
-    return PairwiseCountMatrix(profile.tasks, _pair_counts(compiled), compiled.voter_count)
+    return PairwiseCountMatrix(profile.tasks, compiled.pair_counts, compiled.voter_count)
 
 
 def deviation(schedule: Schedule, profile: PreferenceProfile) -> int:
@@ -129,14 +132,17 @@ def spearman_footrule(a: Schedule, b: Schedule, tasks: TaskSet | None = None) ->
 # index-space form of a profile and the kernels that read it, shared with the
 # solver, the enumeration oracle, the heuristics and the experiment pipelines
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CompiledProfile:
-    """A validated profile in task-index space, built once per public call.
+    """A validated profile in task-index space, built once per instance.
 
     ``dues[g][i]`` is the completion time voter group ``g`` wants for the
     task with declared index ``i``; ``mults[g]`` is that group's
-    multiplicity.  Build it with :func:`_compile_profile`; the per-task
-    sorted tables come from :func:`_due_prefix_tables`.
+    multiplicity.  Build it with :func:`_compile_profile`.  The per-task
+    due tables (:func:`_due_prefix_tables`) and the pair counts
+    (:func:`_pair_counts`) are built on first read and kept, so every rule
+    run on the same compiled profile shares them.  Nothing built from them
+    is kept here: a solve's own tables die with the solve.
     """
 
     tasks: TaskSet
@@ -144,35 +150,56 @@ class CompiledProfile:
     dues: list[list[int]]
     mults: list[int]
     voter_count: int
+    _due_tables: list | None = field(default=None, init=False, repr=False, compare=False)
+    _pair_counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def due_tables(self) -> list[tuple[list[int], list[int], list[int], int, int]]:
+        if self._due_tables is None:
+            self._due_tables = _due_prefix_tables(self)
+        return self._due_tables
+
+    @property
+    def pair_counts(self) -> tuple[tuple[int, ...], ...]:
+        if self._pair_counts is None:
+            self._pair_counts = _pair_counts(self)
+        return self._pair_counts
 
 
 def _compile_profile(profile: PreferenceProfile) -> CompiledProfile:
     """Validate ``profile`` once and translate its ballots to index space."""
     require_valid_profile(profile)
+    return _compile_valid_profile(profile)
+
+
+def _compile_valid_profile(profile: PreferenceProfile) -> CompiledProfile:
+    """:func:`_compile_profile` for a profile its caller has already validated."""
     tasks = profile.tasks
     lengths = tasks.lengths
-    index = tasks.index
-    dues = [_completions_by_index(tuple(index(tid) for tid in s.order), lengths) for s, _ in profile.groups]
+    index = tasks._index
+    dues = [_completions_by_index([index[tid] for tid in s.order], lengths) for s, _ in profile.groups]
     mults = [m for _, m in profile.groups]
     return CompiledProfile(tasks, lengths, dues, mults, sum(mults))
 
 
-def _due_prefix_tables(compiled: CompiledProfile):
-    """Per task: sorted preferred completions with cumulative weight sums.
+def _due_prefix_tables(compiled: CompiledProfile) -> list[tuple[list[int], list[int], list[int], int, int]]:
+    """Per task: its distinct preferred completions, sorted, with cumulative weight sums.
 
     Entry ``i`` is ``(sorted_dues, cum_mult, cum_due, total_mult,
-    total_due)``; the cumulative lists start at 0, so ``cum_mult[r]`` is
-    the weight of the ``r`` smallest dues.
+    total_due)``.  Groups wanting the same completion share one entry
+    weighted by their summed multiplicity.  The cumulative lists start at
+    0, so ``cum_mult[r]`` is the weight of the voters wanting one of the
+    ``r`` smallest dues.
     """
     tables = []
-    for i in range(len(compiled.lengths)):
-        pairs = sorted((group[i], m) for group, m in zip(compiled.dues, compiled.mults))
-        cum_mult = [0]
-        cum_due = [0]
-        for d, m in pairs:
-            cum_mult.append(cum_mult[-1] + m)
-            cum_due.append(cum_due[-1] + m * d)
-        sorted_dues = [d for d, _ in pairs]
+    for column in zip(*compiled.dues):
+        weight: dict[int, int] = {}
+        for due, mult in zip(column, compiled.mults):
+            weight[due] = weight.get(due, 0) + mult
+        sorted_dues = sorted(weight)
+        weights = [weight[due] for due in sorted_dues]
+        cum_mult = list(accumulate(weights, initial=0))
+        cum_due = list(accumulate(map(mul, sorted_dues, weights), initial=0))
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
     return tables
 
@@ -205,7 +232,7 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
         # running i ahead of a waiting j costs lengths[i] per voter wanting j
         # first, so the charge is lengths[i] times column i summed over the
         # tasks not in the mask
-        counts = _pair_counts(compiled)
+        counts = compiled.pair_counts
         cols = [[row[i] for row in counts] for i in range(n)]  # cols[i][j] = counts[j][i]
         if tabulate:
             half = n // 2
@@ -229,7 +256,7 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
 
     # deviation or tardiness of task i finishing at start + lengths[i]
     tardy_only = objective is Objective.SUM_TARDINESS
-    table = _due_prefix_tables(compiled)
+    table = compiled.due_tables
 
     def charge(i: int, start: int) -> int:
         dues, cum_mult, cum_due, total_mult, total_due = table[i]
@@ -286,7 +313,7 @@ def _evaluator(compiled: CompiledProfile, objective: Objective):
     """``evaluate(order)``: an index order's full score from the per-voter kernels."""
     lengths = compiled.lengths
     if objective is Objective.PTA_KENDALL_TAU:
-        counts = _pair_counts(compiled)
+        counts = compiled.pair_counts
         return lambda order: _pta_kernel(order, lengths, counts)
     kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
     dues, mults = compiled.dues, compiled.mults

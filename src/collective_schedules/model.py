@@ -215,11 +215,14 @@ def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -
         defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
     voters = 0
     ids = tasks.ids
+    known = tasks._index.keys()
     for g, (schedule, mult) in enumerate(profile.groups):
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
         else:
             voters += mult
+        if len(schedule.order) == len(ids) and len(known & schedule.order) == len(ids):
+            continue  # n distinct known ids: nothing unknown, repeated or missing
         seen: set[str] = set()
         for tid in schedule.order:
             if tid not in tasks:

@@ -167,6 +167,20 @@ class TestRunAuditAxioms:
             run_audit_axioms(models=("u",), ns=(6,), instances=1, cap=cap)
 
 
+class TestOneCompilePerInstance:
+    def test_lmt_eval(self, compile_counts):
+        report = run_lmt_eval(n=5, v=9, instances=3, include_times=True)
+        assert len(report.instances) == 3
+        assert compile_counts == {"validate_profile": 3, "due_tables": 3}
+
+    @pytest.mark.parametrize("pipeline", [run_compare, run_uniqueness_audit])
+    def test_exact_rule_pipelines(self, pipeline, compile_counts):
+        report = pipeline(models=("u", "c"), ns=(4,), instances=2, include_times=True)
+        count = len(report.instances)
+        assert count >= 4
+        assert compile_counts == {"validate_profile": count, "due_tables": count}
+
+
 @pytest.mark.parametrize(
     "pipeline",
     [run_compare, run_lmt_eval, run_lrm_audit, run_uniqueness_audit, run_audit_axioms],

@@ -10,6 +10,7 @@ from collective_schedules import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    apply_rule,
     generate,
     lmt,
     local_search,
@@ -168,3 +169,11 @@ class TestLocalSearch:
                 lmt(tasks, profile), profile, Objective.SUM_DEVIATION
             )
             assert trace.final_score >= exact.optimal_score
+
+
+class TestOneCompilePerCall:
+    @pytest.mark.parametrize("rule", ["lmt", "lmt-ls"])
+    def test_apply_rule_validates_and_tabulates_once(self, rule, compile_counts):
+        tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
+        apply_rule(rule, tasks, profile)
+        assert compile_counts == {"validate_profile": 1, "due_tables": 1}

@@ -215,6 +215,11 @@ class TestCliSolve:
         assert payload["search_steps"] == 0
         assert payload["terminated_by"] == "local-optimum"
 
+    @pytest.mark.parametrize("rule", ["lmt", "lmt-ls"])
+    def test_heuristic_rules_validate_and_tabulate_once(self, rule, instance_file, compile_counts, capsys):
+        assert main(["solve", "--rule", rule, "--input", instance_file]) == 0
+        assert compile_counts == {"validate_profile": 1, "due_tables": 1}
+
     @pytest.mark.parametrize("extra", [[], ["--all-optima"], ["--all-optima", "--cap", "1"]])
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_payload_key_order(self, rule, extra, instance_file, capsys):

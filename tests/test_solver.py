@@ -16,12 +16,15 @@ from collective_schedules import (
     SolveOptions,
     TaskSet,
     TooManyTasksError,
+    apply_rule,
     brute_force_oracle,
     enumerate_optima,
     generate,
     local_search,
     solve_exact,
 )
+from collective_schedules.metrics import _compile_profile
+from collective_schedules.solver import _solve_exact
 from test_delta_search import reference_local_search
 
 MODELS = ("uniform", "plackett-luce")
@@ -297,6 +300,23 @@ class TestMemory:
             for objective in Objective:
                 for enumerate_all in (False, True):
                     solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=enumerate_all))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_shared_tables_leave_no_reference_cycles(self):
+        # the compiled profile keeps its due tables and pair counts, which
+        # hold no reference back to it or to a solve's own tables
+        tasks, profile = generate(GenSpec(6, 5, "uniform", (1, 3), 7))
+        gc.collect()
+        gc.disable()
+        try:
+            compiled = _compile_profile(profile)
+            for objective in list(Objective) * 2:
+                _solve_exact(compiled, objective, SolveOptions(enumerate_all=True))
+            del compiled
+            for rule in ("lmt", "lmt-ls"):
+                apply_rule(rule, tasks, profile)
             assert gc.collect() == 0
         finally:
             gc.enable()
