@@ -133,7 +133,7 @@ def run_compare(
     For each instance and each rule the optimal schedule is computed, then
     scored under every metric and divided by that metric's own optimum.
     The diagonal ratio is exactly 1 by construction.  Each instance is
-    compiled once; its ``times`` are as in :func:`_solve_exact_rules`.
+    compiled once, and each rule's ``times`` entry covers its own solve.
     """
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []

@@ -182,7 +182,7 @@ def _compile_valid_profile(profile: PreferenceProfile) -> CompiledProfile:
     return CompiledProfile(tasks, lengths, dues, mults, sum(mults))
 
 
-def _due_prefix_tables(compiled: CompiledProfile) -> list[tuple[list[int], list[int], list[int], int, int]]:
+def _due_prefix_tables(compiled: CompiledProfile):
     """Per task: its distinct preferred completions, sorted, with cumulative weight sums.
 
     Entry ``i`` is ``(sorted_dues, cum_mult, cum_due, total_mult,

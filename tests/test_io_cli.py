@@ -216,7 +216,7 @@ class TestCliSolve:
         assert payload["terminated_by"] == "local-optimum"
 
     @pytest.mark.parametrize("rule", ["lmt", "lmt-ls"])
-    def test_heuristic_rules_validate_and_tabulate_once(self, rule, instance_file, compile_counts, capsys):
+    def test_heuristic_rules_validate_and_tabulate_once(self, rule, instance_file, compile_counts):
         assert main(["solve", "--rule", rule, "--input", instance_file]) == 0
         assert compile_counts == {"validate_profile": 1, "due_tables": 1}
 
