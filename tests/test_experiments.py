@@ -5,7 +5,18 @@ from statistics import fmean
 
 import pytest
 
-from collective_schedules import InvalidSpecError, experiments, rules, solver
+from collective_schedules import (
+    GenSpec,
+    InvalidSpecError,
+    check_unanimity,
+    experiments,
+    find_pta_condorcet_schedule,
+    generate,
+    is_pta_condorcet_consistent,
+    lrm_probe,
+    rules,
+    solver,
+)
 from collective_schedules.experiments import (
     CSV_HEADER,
     instance_seed,
@@ -165,6 +176,53 @@ class TestRunAuditAxioms:
         assert not any(d["has_consistent_schedule"] for d in report.instances)
         with pytest.raises(InvalidSpecError, match="cap"):
             run_audit_axioms(models=("u",), ns=(6,), instances=1, cap=cap)
+
+
+def _regenerate(record, n, v, length_range):
+    return generate(GenSpec(n, v, record["model"], tuple(length_range), record["seed"]))
+
+
+class TestAuditVerdictsMatchPublicApi:
+    """Each recorded verdict, recomputed from the instance through the public API."""
+
+    # two voters often agree on a pair that a rule then inverts
+    @pytest.mark.parametrize("v,cap", [(2, 1), (7, 20)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_audit_axioms(self, seed, v, cap):
+        report = run_audit_axioms(models=("u", "c"), ns=(3, 4, 5), v=v, instances=4,
+                                  seed=seed, cap=cap, include_times=False)
+        params = report.params
+        for record in report.instances:
+            tasks, profile = _regenerate(record, record["n"], params["v"], params["length_range"])
+            consistent = find_pta_condorcet_schedule(profile) is not None
+            assert record["has_consistent_schedule"] == consistent
+            for rule, entry in record["rules"].items():
+                schedule = rules.apply_rule(rule, tasks, profile)
+                expected = {"unanimity": check_unanimity(schedule, profile).holds}
+                if consistent:
+                    expected["pta_condorcet"] = is_pta_condorcet_consistent(schedule, profile).holds
+                assert entry == expected, (record, rule)
+            if consistent:
+                optima, complete = solver.enumerate_optima(tasks, profile, "pta-kendall-tau", cap)
+                checked = all(is_pta_condorcet_consistent(s, profile).holds for s in optima)
+                assert record["kemeny_optima_consistent"] == (checked if complete else None)
+        assert any(d["has_consistent_schedule"] for d in report.instances)
+
+    @pytest.mark.parametrize("reduction", ["unit", "uniform"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lrm_audit(self, seed, reduction):
+        report = run_lrm_audit(instances=8, n=6, v=2, seed=seed, reduction=reduction,
+                               include_times=False)
+        params = report.params
+        for record in report.instances:
+            _, profile = _regenerate(record, params["n"], params["v"], params["length_range"])
+            for rule, holds in record["verdicts"].items():
+                verdict = lrm_probe(profile, rule, record["target"], record["new_length"])
+                assert holds == verdict.holds, (record, rule)
+                if not holds:
+                    witness = {key: verdict.witness[key] for key in ("start_before", "start_after")}
+                    assert record["witnesses"][rule] == witness
+            assert set(record.get("witnesses", {})) == {r for r, h in record["verdicts"].items() if not h}
 
 
 class TestOneCompilePerInstance:

@@ -1,6 +1,8 @@
 """Random instance generation: determinism, validation, and distributions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_schedules import (
     GenSpec,
@@ -11,6 +13,7 @@ from collective_schedules import (
     pairwise_counts,
     validate_profile,
 )
+from collective_schedules.generation import _plackett_luce_ballot
 
 
 class TestCanonicalModel:
@@ -149,3 +152,47 @@ class TestPlackettLuce:
         top_uniform = max(m for _, m in uniform_profile.groups)
         top_pl = max(m for _, m in pl_profile.groups)
         assert top_pl > top_uniform
+
+
+def _parent_plackett_luce_ballot(rng, ids, utilities) -> tuple[str, ...]:
+    # the ballot draw as it read on a numpy array of utilities, kept
+    # verbatim as the reference for the list-of-floats draw
+    remaining = list(range(len(ids)))
+    order: list[str] = []
+    while remaining:
+        weights = [utilities[i] for i in remaining]
+        total = sum(weights)
+        draw = rng.random() * total
+        acc = 0.0
+        chosen = len(remaining) - 1  # guard against float round-off
+        for pos, w in enumerate(weights):
+            acc += w
+            if draw < acc:
+                chosen = pos
+                break
+        order.append(ids[remaining.pop(chosen)])
+    return tuple(order)
+
+
+class TestPlackettLuceBallotOnFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        utilities=st.lists(
+            st.floats(min_value=1e-300, max_value=1e300, allow_subnormal=False)
+            | st.sampled_from([1e-300, 1e300, 1.0, 0.5]),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        ballots=st.integers(1, 5),
+    )
+    def test_python_floats_draw_the_numpy_ballots(self, utilities, seed, ballots):
+        import numpy as np
+
+        array = np.asarray(utilities, dtype=float)
+        ids = tuple(f"t{i + 1}" for i in range(len(utilities)))
+        floats_rng, array_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(ballots):
+            expected = _parent_plackett_luce_ballot(array_rng, ids, array)
+            assert _plackett_luce_ballot(floats_rng, ids, array.tolist()) == expected
+        assert floats_rng.random() == array_rng.random()

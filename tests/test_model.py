@@ -128,6 +128,12 @@ class TestPreferenceProfile:
         )
         assert profile.voter_count == 3
 
+    @pytest.mark.parametrize("orders", [[("a", "zz")], [("a", "b"), ("zz", "a"), ("b", "a")]])
+    def test_from_orders_rejects_unknown_ids(self, orders):
+        tasks = TaskSet.of(("a", 1), ("b", 2))
+        with pytest.raises(UnknownTaskError, match="^unknown task id 'zz'$"):
+            PreferenceProfile.from_orders(tasks, orders)
+
     def test_equal_ballot_multisets_compare_equal(self):
         tasks = TaskSet.of(("a", 1), ("b", 2))
         one = PreferenceProfile.from_orders(tasks, [("b", "a"), ("a", "b")])
