@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidReductionError, MismatchedTaskSetError
-from .metrics import pairwise_counts, score
+from .metrics import CompiledProfile, _compile_profile, score
 from .model import (
     Objective,
     PreferenceProfile,
@@ -58,18 +58,9 @@ def pta_condorcet_constraints(profile: PreferenceProfile) -> tuple[CondorcetCons
     least p_a * v, compared exactly in integers.  Opposite constraints can
     both bind only when both comparisons are exact ties.
     """
-    tasks = profile.tasks
-    counts = pairwise_counts(profile)
-    v = profile.voter_count
-    out: list[CondorcetConstraint] = []
-    for a in tasks.ids:
-        for b in tasks.ids:
-            if a == b:
-                continue
-            supporters = counts.before(a, b)
-            if supporters * (tasks.length(a) + tasks.length(b)) >= tasks.length(a) * v:
-                out.append(CondorcetConstraint(a, b, supporters))
-    return tuple(out)
+    compiled = _compile_profile(profile)
+    counts, index = compiled.pair_counts, compiled.tasks._index
+    return tuple(CondorcetConstraint(a, b, counts[index[a]][index[b]]) for a, b in _binding_pairs(compiled))
 
 
 def is_pta_condorcet_consistent(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
@@ -87,21 +78,12 @@ def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
     exists only if that tournament is transitive, and is then its unique
     linear extension; otherwise ``None``.
     """
-    binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
-    return _consistent_order(profile.tasks, binding)
+    return _consistent_order(profile.tasks, _binding_pairs(_compile_profile(profile)))
 
 
 def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
     """Ordered pairs every single voter schedules the same way."""
-    tasks = profile.tasks
-    counts = pairwise_counts(profile)
-    v = profile.voter_count
-    return tuple(
-        (a, b)
-        for a in tasks.ids
-        for b in tasks.ids
-        if a != b and counts.before(a, b) == v
-    )
+    return tuple(_unanimous_pairs(_compile_profile(profile)))
 
 
 def check_unanimity(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
@@ -136,8 +118,15 @@ def lrm_probe(
 
     before = apply_rule(rule, tasks, profile)
     after = apply_rule(rule, reduced_tasks, reduced_profile)
-    start_before = completion_times(before, tasks)[target] - old_length
-    start_after = completion_times(after, reduced_tasks)[target] - reduced_length
+    return _lrm_verdict(target, tasks, reduced_tasks, before, after)
+
+
+def _lrm_verdict(
+    target: str, tasks: TaskSet, reduced_tasks: TaskSet, before: Schedule, after: Schedule
+) -> AxiomVerdict:
+    """:func:`lrm_probe`'s verdict on the rule's schedules before and after the reduction."""
+    start_before = completion_times(before, tasks)[target] - tasks.length(target)
+    start_after = completion_times(after, reduced_tasks)[target] - reduced_tasks.length(target)
     if start_after <= start_before:
         return AxiomVerdict("length-reduction-monotonicity", True)
     witness = {
@@ -228,6 +217,25 @@ def reinforcement_check(
         return AxiomVerdict("reinforcement", True)
     witness = {"common": common, "union_optima": set(optima_union)}
     return AxiomVerdict("reinforcement", False, witness)
+
+
+def _binding_pairs(compiled: CompiledProfile) -> list[tuple[str, str]]:
+    """The ``(before, after)`` pairs of :func:`pta_condorcet_constraints`, in its order."""
+    counts, lengths, v = compiled.pair_counts, compiled.lengths, compiled.voter_count
+    ids = compiled.tasks.ids
+    return [
+        (ids[a], ids[b])
+        for a in range(len(ids))
+        for b in range(len(ids))
+        if a != b and counts[a][b] * (lengths[a] + lengths[b]) >= lengths[a] * v
+    ]
+
+
+def _unanimous_pairs(compiled: CompiledProfile) -> list[tuple[str, str]]:
+    """The pairs of :func:`unanimous_pairs`, in its order."""
+    counts, v = compiled.pair_counts, compiled.voter_count
+    ids = compiled.tasks.ids
+    return [(ids[a], ids[b]) for a in range(len(ids)) for b in range(len(ids)) if a != b and counts[a][b] == v]
 
 
 def _first_inverted(

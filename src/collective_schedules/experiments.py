@@ -22,20 +22,14 @@ from math import inf
 from statistics import fmean
 from typing import Any, Sequence
 
-from .axioms import (
-    _consistent_order,
-    _first_inverted,
-    lrm_probe,
-    pta_condorcet_constraints,
-    unanimous_pairs,
-)
+from .axioms import _binding_pairs, _consistent_order, _first_inverted, _lrm_verdict, _unanimous_pairs
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import _lmt, _local_search
-from .metrics import CompiledProfile, _compile_profile, _evaluator
-from .model import Objective, _require_permutation
-from .rules import EXACT_RULES, apply_rule
-from .solver import SolveOptions, SolveReport, _solve_exact, solve_exact
+from .metrics import CompiledProfile, _compile_profile, _compile_valid_profile, _evaluator
+from .model import Objective, PreferenceProfile, _require_permutation
+from .rules import EXACT_RULES
+from .solver import SolveOptions, SolveReport, _solve_exact
 
 @dataclass(frozen=True, slots=True)
 class ReportRow:
@@ -252,7 +246,9 @@ def run_lrm_audit(
     default ``reduction="unit"`` policy the target loses one time unit;
     ``reduction="uniform"`` redraws its length uniformly below the old
     value, a harsher perturbation that roughly triples the violation rate
-    of the deviation rule.
+    of the deviation rule.  Each rule is solved on the instance and on its
+    reduced copy, each compiled once; ``times["instance"]`` covers the
+    whole instance, compiles included.
     """
     import numpy as np  # imported on use: the solve path never loads numpy
 
@@ -279,6 +275,11 @@ def run_lrm_audit(
             reduced_length = tasks.length(target) - 1
         else:
             reduced_length = int(chooser.integers(1, tasks.length(target)))
+        reduced_tasks = tasks.with_length(target, reduced_length)
+        before = _solve_exact_rules(_compile_profile(profile))
+        # a length change keeps every id and multiplicity, so the reduced
+        # profile is valid too
+        after = _solve_exact_rules(_compile_valid_profile(PreferenceProfile(reduced_tasks, profile.groups)))
         detail = {
             "model": model,
             "seed": child,
@@ -288,7 +289,7 @@ def run_lrm_audit(
             "verdicts": {},
         }
         for rule in EXACT_RULES:
-            verdict = lrm_probe(profile, rule, target, reduced_length)
+            verdict = _lrm_verdict(target, tasks, reduced_tasks, before[rule].schedule, after[rule].schedule)
             detail["verdicts"][rule] = bool(verdict.holds)
             if not verdict.holds:
                 detail.setdefault("witnesses", {})[rule] = {
@@ -386,7 +387,8 @@ def run_audit_axioms(
 
     Constraint consistency is judged only on instances where a fully
     consistent schedule exists.  For the pairwise rule, every enumerated
-    optimum is checked, not just the tie-broken representative.
+    optimum is checked, not just the tie-broken representative.  Each
+    instance is compiled once, and ``times["instance"]`` covers all of it.
     """
     _require_count("cap", cap)
     models = [canonical_model(m) for m in models]
@@ -395,16 +397,17 @@ def run_audit_axioms(
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
         for detail, tasks, profile in draws:
             started = time.perf_counter()
-            binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
-            unanimous = unanimous_pairs(profile)
+            compiled = _compile_profile(profile)
+            binding = _binding_pairs(compiled)
+            unanimous = _unanimous_pairs(compiled)
             consistent = _consistent_order(tasks, binding) is not None
             detail.update(has_consistent_schedule=consistent, rules={})
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
             options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent else None
-            kemeny = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, options)
-            for rule in EXACT_RULES:
-                schedule = kemeny.schedule if rule == "pta-kemeny" else apply_rule(rule, tasks, profile)
+            kemeny = _solve_exact(compiled, Objective.PTA_KENDALL_TAU, options)
+            for rule, objective in EXACT_RULES.items():
+                schedule = kemeny.schedule if rule == "pta-kemeny" else _solve_exact(compiled, objective).schedule
                 entry: dict[str, Any] = {}
                 if consistent:
                     entry["pta_condorcet"] = _first_inverted(schedule, tasks, binding) is None

@@ -93,6 +93,9 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
             utilities = np.asarray(spec.utilities, dtype=float)
         else:
             utilities = 1.0 - rng.random(spec.n)  # uniform on (0, 1]
+        # the same doubles as Python floats, whose arithmetic is cheaper
+        # than numpy scalars' and rounds the same
+        utilities = utilities.tolist()
         ballots = [_plackett_luce_ballot(rng, ids, utilities) for _ in range(spec.v)]
 
     return tasks, PreferenceProfile.from_orders(tasks, ballots)

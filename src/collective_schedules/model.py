@@ -162,8 +162,13 @@ class PreferenceProfile:
         multisets always produce equal profiles.
         """
         counted = Counter(tuple(order) for order in orders)
-        key = lambda order: tuple(tasks.index(tid) for tid in order)
-        return cls(tasks, tuple((Schedule(o), m) for o, m in sorted(counted.items(), key=lambda kv: key(kv[0]))))
+        index = tasks._index
+        try:
+            ordered = sorted(counted.items(), key=lambda kv: tuple(index[tid] for tid in kv[0]))
+        except KeyError as err:
+            tasks.index(err.args[0])  # raises UnknownTaskError for the unknown id
+            raise
+        return cls(tasks, tuple((Schedule(o), m) for o, m in ordered))
 
     @property
     def voter_count(self) -> int:

@@ -26,7 +26,6 @@ from collective_schedules.experiments import (
     run_lrm_audit,
     run_uniqueness_audit,
 )
-from collective_schedules.solver import solve_exact
 
 
 class TestInstanceSeed:
@@ -141,26 +140,26 @@ class TestRunAuditAxioms:
 
     def test_one_exact_solve_per_rule_and_instance(self, monkeypatch):
         calls = []
+        solve = experiments._solve_exact
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return solve_exact(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        for module in (solver, rules, experiments):
-            monkeypatch.setattr(module, "solve_exact", counting)
+        monkeypatch.setattr(experiments, "_solve_exact", counting)
         report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
                                   include_times=False)
         assert any(d["has_consistent_schedule"] for d in report.instances)
         assert len(calls) == 3 * len(report.instances)
 
     def test_precedence_lists_built_once_per_instance(self, monkeypatch):
-        calls = {"pta_condorcet_constraints": 0, "unanimous_pairs": 0}
+        calls = {"_binding_pairs": 0, "_unanimous_pairs": 0}
         for name in calls:
             original = getattr(experiments, name)
 
-            def counting(profile, name=name, original=original):
+            def counting(compiled, name=name, original=original):
                 calls[name] += 1
-                return original(profile)
+                return original(compiled)
 
             monkeypatch.setattr(experiments, name, counting)
         report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
@@ -226,6 +225,19 @@ class TestAuditVerdictsMatchPublicApi:
 
 
 class TestOneCompilePerInstance:
+    def test_audit_axioms(self, compile_counts):
+        report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=2, include_times=True)
+        count = len(report.instances)
+        assert any(d["has_consistent_schedule"] for d in report.instances)
+        assert compile_counts == {"validate_profile": count, "due_tables": count}
+
+    @pytest.mark.parametrize("reduction", ["unit", "uniform"])
+    def test_lrm_audit(self, reduction, compile_counts):
+        # one due-table build for the instance, one for its reduced copy
+        report = run_lrm_audit(instances=3, n=5, v=9, reduction=reduction, include_times=True)
+        assert compile_counts == {"validate_profile": 3, "due_tables": 6}
+        assert len(report.instances) == 3
+
     def test_lmt_eval(self, compile_counts):
         report = run_lmt_eval(n=5, v=9, instances=3, include_times=True)
         assert len(report.instances) == 3

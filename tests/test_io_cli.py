@@ -220,6 +220,14 @@ class TestCliSolve:
         assert main(["solve", "--rule", rule, "--input", instance_file]) == 0
         assert compile_counts == {"validate_profile": 1, "due_tables": 1}
 
+    @pytest.mark.parametrize(
+        "rule,extra",
+        [(rule, []) for rule in EXACT_RULES] + [(rule, ["--evaluate", "2,1,3"]) for rule in RULE_NAMES],
+    )
+    def test_exact_rules_and_evaluate_validate_once(self, rule, extra, instance_file, compile_counts):
+        assert main(["solve", "--rule", rule, "--input", instance_file, *extra]) == 0
+        assert compile_counts["validate_profile"] == 1
+
     @pytest.mark.parametrize("extra", [[], ["--all-optima"], ["--all-optima", "--cap", "1"]])
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_payload_key_order(self, rule, extra, instance_file, capsys):
