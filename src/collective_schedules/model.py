@@ -166,8 +166,7 @@ class PreferenceProfile:
         try:
             ordered = sorted(counted.items(), key=lambda kv: tuple(index[tid] for tid in kv[0]))
         except KeyError as err:
-            tasks.index(err.args[0])  # raises UnknownTaskError for the unknown id
-            raise
+            raise UnknownTaskError(f"unknown task id {err.args[0]!r}") from None
         return cls(tasks, tuple((Schedule(o), m) for o, m in ordered))
 
     @property
