@@ -19,12 +19,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidReductionError, MismatchedTaskSetError
-from .metrics import CompiledProfile, _compile_profile, score
+from .metrics import _compile_profile, score
 from .model import (
     Objective,
     PreferenceProfile,
     Schedule,
     TaskSet,
+    _with_length,
     completion_times,
     require_valid_profile,
     swap_tasks_in_profile,
@@ -59,8 +60,14 @@ def pta_condorcet_constraints(profile: PreferenceProfile) -> tuple[CondorcetCons
     both bind only when both comparisons are exact ties.
     """
     compiled = _compile_profile(profile)
-    counts, index = compiled.pair_counts, compiled.tasks._index
-    return tuple(CondorcetConstraint(a, b, counts[index[a]][index[b]]) for a, b in _binding_pairs(compiled))
+    counts, lengths, v = compiled.pair_counts, compiled.lengths, compiled.voter_count
+    ids = compiled.tasks.ids
+    return tuple(
+        CondorcetConstraint(ids[a], ids[b], counts[a][b])
+        for a in range(len(ids))
+        for b in range(len(ids))
+        if a != b and counts[a][b] * (lengths[a] + lengths[b]) >= lengths[a] * v
+    )
 
 
 def is_pta_condorcet_consistent(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
@@ -78,12 +85,16 @@ def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
     exists only if that tournament is transitive, and is then its unique
     linear extension; otherwise ``None``.
     """
-    return _consistent_order(profile.tasks, _binding_pairs(_compile_profile(profile)))
+    binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
+    return _consistent_order(profile.tasks, binding)
 
 
 def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
     """Ordered pairs every single voter schedules the same way."""
-    return tuple(_unanimous_pairs(_compile_profile(profile)))
+    compiled = _compile_profile(profile)
+    counts, v = compiled.pair_counts, compiled.voter_count
+    ids = compiled.tasks.ids
+    return tuple((ids[a], ids[b]) for a in range(len(ids)) for b in range(len(ids)) if a != b and counts[a][b] == v)
 
 
 def check_unanimity(schedule: Schedule, profile: PreferenceProfile) -> AxiomVerdict:
@@ -104,7 +115,7 @@ def lrm_probe(
     drops to ``reduced_length`` (ballot orders unchanged), then compares
     the target's start times.  Holds when the start does not move later.
     """
-    require_valid_profile(profile)
+    require_valid_profile(profile)  # and keeps it: the rule's compile skips validation
     tasks = profile.tasks
     old_length = tasks.length(target)
     if not isinstance(reduced_length, int) or isinstance(reduced_length, bool):
@@ -113,12 +124,10 @@ def lrm_probe(
         raise InvalidReductionError(
             f"reduced length must be in [1, {old_length - 1}], got {reduced_length}"
         )
-    reduced_tasks = tasks.with_length(target, reduced_length)
-    reduced_profile = PreferenceProfile(reduced_tasks, profile.groups)
-
     before = apply_rule(rule, tasks, profile)
-    after = apply_rule(rule, reduced_tasks, reduced_profile)
-    return _lrm_verdict(target, tasks, reduced_tasks, before, after)
+    reduced = _with_length(profile, target, reduced_length)
+    after = apply_rule(rule, reduced.tasks, reduced)
+    return _lrm_verdict(target, tasks, reduced.tasks, before, after)
 
 
 def _lrm_verdict(
@@ -217,25 +226,6 @@ def reinforcement_check(
         return AxiomVerdict("reinforcement", True)
     witness = {"common": common, "union_optima": set(optima_union)}
     return AxiomVerdict("reinforcement", False, witness)
-
-
-def _binding_pairs(compiled: CompiledProfile) -> list[tuple[str, str]]:
-    """The ``(before, after)`` pairs of :func:`pta_condorcet_constraints`, in its order."""
-    counts, lengths, v = compiled.pair_counts, compiled.lengths, compiled.voter_count
-    ids = compiled.tasks.ids
-    return [
-        (ids[a], ids[b])
-        for a in range(len(ids))
-        for b in range(len(ids))
-        if a != b and counts[a][b] * (lengths[a] + lengths[b]) >= lengths[a] * v
-    ]
-
-
-def _unanimous_pairs(compiled: CompiledProfile) -> list[tuple[str, str]]:
-    """The pairs of :func:`unanimous_pairs`, in its order."""
-    counts, v = compiled.pair_counts, compiled.voter_count
-    ids = compiled.tasks.ids
-    return [(ids[a], ids[b]) for a in range(len(ids)) for b in range(len(ids)) if a != b and counts[a][b] == v]
 
 
 def _first_inverted(

@@ -22,12 +22,12 @@ from .experiments import (
     run_uniqueness_audit,
 )
 from .generation import MODELS, GenSpec, canonical_model, generate
-from .heuristics import _lmt, _local_search
+from .heuristics import lmt, local_search
 from .io import dumps_instance, read_instance
-from .metrics import _compile_valid_profile, _evaluator
-from .model import Schedule, _require_permutation, validate_profile
+from .metrics import score
+from .model import Schedule, validate_profile
 from .rules import EXACT_RULES, RULE_NAMES, RULE_OBJECTIVE
-from .solver import SolveOptions, _require_task_limit, _solve_exact
+from .solver import SolveOptions, solve_exact
 
 
 # subcommand -> (pipeline, help, flags); each flag is (flag, pipeline
@@ -154,38 +154,34 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     objective = RULE_OBJECTIVE[args.rule]
     payload = {"rule": args.rule, "objective": objective.value}
-    # the profile is validated above, so each branch compiles it without
-    # validating it again
+    # validate_profile keeps the profile it found valid, so each branch
+    # compiles it once without validating it again
     if args.evaluate is not None:
         order = Schedule(tuple(tid.strip() for tid in args.evaluate.split(",")))
-        evaluate = _evaluator(_compile_valid_profile(profile), objective)
-        payload.update(schedule=list(order.order), score=evaluate(_require_permutation(order, tasks)))
+        payload.update(schedule=list(order.order), score=score(order, profile, objective))
     elif args.rule in EXACT_RULES:
         options = SolveOptions(enumerate_all=args.all_optima, optimum_cap=args.cap, max_tasks=args.max_tasks)
-        started = time.perf_counter()
-        _require_task_limit(tasks.n, options)
-        report = _solve_exact(_compile_valid_profile(profile), objective, options)
+        report = solve_exact(tasks, profile, objective, options)
         payload.update(
             score=report.optimal_score,
             schedule=list(report.schedule.order),
             optimum_count=report.optimum_count,
             optima_complete=report.optima_complete,
             states_explored=report.states_explored,
-            wall_time_s=time.perf_counter() - started,
+            wall_time_s=report.wall_time_s,
         )
         if report.optima is not None:
             payload["optima"] = [list(s.order) for s in report.optima]
     else:
         started = time.perf_counter()
-        compiled = _compile_valid_profile(profile)  # its due tables shared by both steps
-        schedule = _lmt(compiled)
+        schedule = lmt(tasks, profile)
         if args.rule == "lmt-ls":
-            schedule, trace = _local_search(schedule, compiled, objective)
+            schedule, trace = local_search(schedule, profile, objective)
             payload.update(
                 search_steps=len(trace.steps), terminated_by=trace.terminated_by, score=trace.final_score
             )
         else:
-            payload["score"] = _evaluator(compiled, objective)(_require_permutation(schedule, tasks))
+            payload["score"] = score(schedule, profile, objective)
         payload.update(schedule=list(schedule.order), wall_time_s=time.perf_counter() - started)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0

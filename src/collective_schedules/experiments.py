@@ -22,14 +22,14 @@ from math import inf
 from statistics import fmean
 from typing import Any, Sequence
 
-from .axioms import _binding_pairs, _consistent_order, _first_inverted, _lrm_verdict, _unanimous_pairs
+from .axioms import _consistent_order, _first_inverted, _lrm_verdict, pta_condorcet_constraints, unanimous_pairs
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
-from .heuristics import _lmt, _local_search
-from .metrics import CompiledProfile, _compile_profile, _compile_valid_profile, _evaluator
-from .model import Objective, PreferenceProfile, _require_permutation
+from .heuristics import lmt, local_search
+from .metrics import score
+from .model import Objective, PreferenceProfile, TaskSet, _with_length
 from .rules import EXACT_RULES
-from .solver import SolveOptions, SolveReport, _solve_exact
+from .solver import SolveOptions, SolveReport, solve_exact
 
 @dataclass(frozen=True, slots=True)
 class ReportRow:
@@ -127,23 +127,23 @@ def run_compare(
     For each instance and each rule the optimal schedule is computed, then
     scored under every metric and divided by that metric's own optimum.
     The diagonal ratio is exactly 1 by construction.  Each instance is
-    compiled once, and each rule's ``times`` entry covers its own solve.
+    compiled once; each rule's ``times`` entry is its ``solve_exact`` wall
+    time, so ``sum-dev``'s includes the compile and the due tables it
+    shares with ``sum-tard``, and ``pta-kemeny``'s its pair counts.
     """
     models = [canonical_model(m) for m in models]
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
         for detail, tasks, profile in draws:
-            compiled = _compile_profile(profile)
-            reports = _solve_exact_rules(compiled)
-            evaluate = {rule: _evaluator(compiled, objective) for rule, objective in EXACT_RULES.items()}
-            detail["ratios"] = {}
-            for rule, rep in reports.items():
-                order = _require_permutation(rep.schedule, tasks)
-                detail["ratios"][rule] = {
-                    metric_rule: _ratio(evaluate[metric_rule](order), reports[metric_rule].optimal_score)
-                    for metric_rule in EXACT_RULES
+            reports = _solve_exact_rules(tasks, profile)
+            detail["ratios"] = {
+                rule: {
+                    metric_rule: _ratio(score(rep.schedule, profile, objective), reports[metric_rule].optimal_score)
+                    for metric_rule, objective in EXACT_RULES.items()
                 }
+                for rule, rep in reports.items()
+            }
             if include_times:
                 detail["times"] = {rule: rep.wall_time_s for rule, rep in reports.items()}
             details.append(detail)
@@ -183,24 +183,22 @@ def run_lmt_eval(
 ) -> ExperimentReport:
     """Quality of the median heuristic against the exact deviation optimum.
 
-    Each instance is compiled, and its due tables built, once and before
-    any timing; all three rules read them.  So ``times["lmt"]`` covers the
-    median lookup and sort, ``times["lmt-ls"]`` that plus the descent, and
-    ``times["sum-dev"]`` the exact solve on the shared tables.
+    Each instance is compiled, and its due tables built, once, by
+    ``lmt``; all three rules read them.  So ``times["lmt"]`` covers the
+    compile, the due tables and the median sort, ``times["lmt-ls"]`` that
+    plus the descent, and ``times["sum-dev"]`` the exact solve on the
+    shared tables.
     """
     model = canonical_model(model)
     details: list[dict[str, Any]] = []
     ((_, _, _, draws),) = _cells((model,), (n,), (v,), instances, seed, length_range)
     for detail, tasks, profile in draws:
-        compiled = _compile_profile(profile)
-        compiled.due_tables  # built here, outside every rule's time
-
         started = time.perf_counter()
-        start = _lmt(compiled)
+        start = lmt(tasks, profile)
         lmt_seconds = time.perf_counter() - started
-        _, trace = _local_search(start, compiled, Objective.SUM_DEVIATION)
+        _, trace = local_search(start, profile, Objective.SUM_DEVIATION)
         ls_seconds = time.perf_counter() - started
-        exact = _solve_exact(compiled, Objective.SUM_DEVIATION)
+        exact = solve_exact(tasks, profile, Objective.SUM_DEVIATION)
 
         detail.update(
             ratio_lmt=_ratio(trace.start_score, exact.optimal_score),
@@ -247,8 +245,9 @@ def run_lrm_audit(
     ``reduction="uniform"`` redraws its length uniformly below the old
     value, a harsher perturbation that roughly triples the violation rate
     of the deviation rule.  Each rule is solved on the instance and on its
-    reduced copy, each compiled once; ``times["instance"]`` covers the
-    whole instance, compiles included.
+    reduced copy; the instance is validated once, and each of the two is
+    compiled once.  ``times["instance"]`` covers the whole instance,
+    compiles included.
     """
     import numpy as np  # imported on use: the solve path never loads numpy
 
@@ -275,11 +274,9 @@ def run_lrm_audit(
             reduced_length = tasks.length(target) - 1
         else:
             reduced_length = int(chooser.integers(1, tasks.length(target)))
-        reduced_tasks = tasks.with_length(target, reduced_length)
-        before = _solve_exact_rules(_compile_profile(profile))
-        # a length change keeps every id and multiplicity, so the reduced
-        # profile is valid too
-        after = _solve_exact_rules(_compile_valid_profile(PreferenceProfile(reduced_tasks, profile.groups)))
+        before = _solve_exact_rules(tasks, profile)
+        reduced = _with_length(profile, target, reduced_length)
+        after = _solve_exact_rules(reduced.tasks, reduced)
         detail = {
             "model": model,
             "seed": child,
@@ -289,7 +286,7 @@ def run_lrm_audit(
             "verdicts": {},
         }
         for rule in EXACT_RULES:
-            verdict = _lrm_verdict(target, tasks, reduced_tasks, before[rule].schedule, after[rule].schedule)
+            verdict = _lrm_verdict(target, tasks, reduced.tasks, before[rule].schedule, after[rule].schedule)
             detail["verdicts"][rule] = bool(verdict.holds)
             if not verdict.holds:
                 detail.setdefault("witnesses", {})[rule] = {
@@ -344,7 +341,7 @@ def run_uniqueness_audit(
     details: list[dict[str, Any]] = []
     for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
         for detail, tasks, profile in draws:
-            reports = _solve_exact_rules(_compile_profile(profile))
+            reports = _solve_exact_rules(tasks, profile)
             detail["optimum_count"] = {rule: report.optimum_count for rule, report in reports.items()}
             if include_times:
                 detail["times"] = {rule: report.wall_time_s for rule, report in reports.items()}
@@ -397,17 +394,16 @@ def run_audit_axioms(
     for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
         for detail, tasks, profile in draws:
             started = time.perf_counter()
-            compiled = _compile_profile(profile)
-            binding = _binding_pairs(compiled)
-            unanimous = _unanimous_pairs(compiled)
+            binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
+            unanimous = unanimous_pairs(profile)
             consistent = _consistent_order(tasks, binding) is not None
             detail.update(has_consistent_schedule=consistent, rules={})
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
             options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent else None
-            kemeny = _solve_exact(compiled, Objective.PTA_KENDALL_TAU, options)
+            kemeny = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, options)
             for rule, objective in EXACT_RULES.items():
-                schedule = kemeny.schedule if rule == "pta-kemeny" else _solve_exact(compiled, objective).schedule
+                schedule = kemeny.schedule if rule == "pta-kemeny" else solve_exact(tasks, profile, objective).schedule
                 entry: dict[str, Any] = {}
                 if consistent:
                     entry["pta_condorcet"] = _first_inverted(schedule, tasks, binding) is None
@@ -459,15 +455,9 @@ def run_audit_axioms(
     return ExperimentReport("audit-axioms", params, tuple(rows), tuple(details))
 
 
-def _solve_exact_rules(compiled: CompiledProfile) -> dict[str, SolveReport]:
-    """Each exact rule's solve of one compiled instance.
-
-    The due tables and pair counts are built first, so each rule's
-    ``wall_time_s`` covers its own solve on them and none pays for a table
-    another rule reads too.
-    """
-    compiled.due_tables, compiled.pair_counts
-    return {rule: _solve_exact(compiled, objective) for rule, objective in EXACT_RULES.items()}
+def _solve_exact_rules(tasks: TaskSet, profile: PreferenceProfile) -> dict[str, SolveReport]:
+    """Each exact rule's solve of one instance, all on its one compiled form."""
+    return {rule: solve_exact(tasks, profile, objective) for rule, objective in EXACT_RULES.items()}
 
 
 def _cell(value: Any) -> Any:

@@ -50,7 +50,11 @@ def lmt(tasks: TaskSet, profile: PreferenceProfile) -> Schedule:
     Ties go to the shorter task, then to the smaller task id.
     """
     _require_same_tasks(tasks, profile)
-    return _lmt(_compile_profile(profile))
+    medians = _medians(_compile_profile(profile))
+    lengths = tasks.lengths
+    ids = tasks.ids
+    order = sorted(range(len(ids)), key=lambda i: (medians[i], lengths[i], ids[i]))
+    return Schedule(tuple(ids[i] for i in order))
 
 
 def local_search(
@@ -66,41 +70,15 @@ def local_search(
     after ``max_steps`` swaps (default 2n).  Scores along the trace are
     strictly decreasing.
 
-    The profile is validated once.  A swap only moves the two swapped
+    The profile is compiled at most once.  A swap only moves the two swapped
     tasks, so it is scored by its change in score, read from the
     objective's untabulated transition charges: O(1) for the pairwise
     objective and O(log groups) for deviation and tardiness, after an
     O(groups n^2) setup at most, whatever the number of tasks.
     """
     objective = Objective(objective)
-    return _local_search(schedule, _compile_profile(profile), objective, max_steps)
-
-
-def _medians(compiled: CompiledProfile) -> list[int]:
-    """Each task's lower median completion, by declared index."""
-    threshold = (compiled.voter_count + 1) // 2
-    # cum_mult[r] weighs the r smallest dues, so the median is the last due
-    # of the shortest prefix reaching the threshold
-    return [dues[bisect_left(cum_mult, threshold) - 1] for dues, cum_mult, *_ in compiled.due_tables]
-
-
-def _lmt(compiled: CompiledProfile) -> Schedule:
-    """:func:`lmt` on a compiled profile."""
-    medians = _medians(compiled)
-    lengths = compiled.lengths
-    ids = compiled.tasks.ids
-    order = sorted(range(len(ids)), key=lambda i: (medians[i], lengths[i], ids[i]))
-    return Schedule(tuple(ids[i] for i in order))
-
-
-def _local_search(
-    schedule: Schedule,
-    compiled: CompiledProfile,
-    objective: Objective,
-    max_steps: int | None = None,
-) -> tuple[Schedule, LocalSearchTrace]:
-    """:func:`local_search` on a compiled profile, for an :class:`Objective` member."""
-    tasks = compiled.tasks
+    compiled = _compile_profile(profile)
+    tasks = profile.tasks
     order = list(_require_permutation(schedule, tasks))
     if max_steps is None:
         max_steps = 2 * tasks.n
@@ -109,7 +87,7 @@ def _local_search(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
 
-    lengths = compiled.lengths
+    lengths = tasks.lengths
     step, pair = _transitions(compiled, objective)
     current_score = start = mask = 0
     for i in order:
@@ -142,3 +120,11 @@ def _local_search(
 
     trace = LocalSearchTrace(tuple(steps), terminated_by, start_score, current_score)
     return Schedule(tuple(tasks.ids[i] for i in order)), trace
+
+
+def _medians(compiled: CompiledProfile) -> list[int]:
+    """Each task's lower median completion, by declared index."""
+    threshold = (compiled.voter_count + 1) // 2
+    # cum_mult[r] weighs the r smallest dues, so the median is the last due
+    # of the shortest prefix reaching the threshold
+    return [dues[bisect_left(cum_mult, threshold) - 1] for dues, cum_mult, *_ in compiled.due_tables]

@@ -12,10 +12,13 @@ Three profile metrics drive the aggregation rules:
 
 All scores are exact Python integers.  The pairwise order counts are built
 once per profile (O(v n^2)) so that evaluating one more candidate schedule
-costs O(n^2) rather than another scan over the voters.  Scoring, solving
-and heuristic entry points validate their profile once and then read a
-:class:`CompiledProfile`, the same ballots in task-index space, which
-builds its pair counts and due tables once for every rule run on it.
+costs O(n^2) rather than another scan over the voters.  Scoring, solving,
+heuristic and audit entry points read a :class:`CompiledProfile`, the same
+ballots in task-index space, which builds its pair counts and due tables
+once for every rule run on it.  One compiled form is kept, for the profile
+most recently compiled: every entry point called on that same profile
+object reads it without validating or compiling again, and the next
+profile replaces it.
 
 Only this module knows each objective: its full-score kernels score a whole
 order from the ballots (:func:`_evaluator`, for scoring and the brute-force
@@ -41,8 +44,8 @@ from .model import (
     Schedule,
     TaskSet,
     _completions_by_index,
+    _kept_form,
     _require_permutation,
-    require_valid_profile,
 )
 
 
@@ -138,11 +141,11 @@ class CompiledProfile:
 
     ``dues[g][i]`` is the completion time voter group ``g`` wants for the
     task with declared index ``i``; ``mults[g]`` is that group's
-    multiplicity.  Build it with :func:`_compile_profile`.  The per-task
-    due tables (:func:`_due_prefix_tables`) and the pair counts
-    (:func:`_pair_counts`) are built on first read and kept, so every rule
-    run on the same compiled profile shares them.  Nothing built from them
-    is kept here: a solve's own tables die with the solve.
+    multiplicity.  Get it from :func:`_compile_profile`, which keeps the
+    most recent one.  The per-task due tables (:func:`_due_prefix_tables`)
+    and the pair counts (:func:`_pair_counts`) are built on first read and
+    kept, so every rule run on the same profile shares them.  Nothing built
+    from them is kept here: a solve's own tables die with the solve.
     """
 
     tasks: TaskSet
@@ -167,13 +170,11 @@ class CompiledProfile:
 
 
 def _compile_profile(profile: PreferenceProfile) -> CompiledProfile:
-    """Validate ``profile`` once and translate its ballots to index space."""
-    require_valid_profile(profile)
-    return _compile_valid_profile(profile)
+    """``profile``'s ballots in index space, validated and built once while kept."""
+    return _kept_form(profile, _compile)
 
 
-def _compile_valid_profile(profile: PreferenceProfile) -> CompiledProfile:
-    """:func:`_compile_profile` for a profile its caller has already validated."""
+def _compile(profile: PreferenceProfile) -> CompiledProfile:
     tasks = profile.tasks
     lengths = tasks.lengths
     index = tasks._index

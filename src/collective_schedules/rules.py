@@ -15,9 +15,8 @@ ties are settled lexicographically over declared task indices.
 from __future__ import annotations
 
 from .errors import InvalidSpecError
-from .heuristics import _lmt, _local_search
-from .metrics import _compile_profile
-from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_same_tasks
+from .heuristics import lmt, local_search
+from .model import Objective, PreferenceProfile, Schedule, TaskSet
 from .solver import solve_exact
 
 EXACT_RULES: dict[str, Objective] = {
@@ -56,16 +55,14 @@ def apply_rule(
 ) -> Schedule:
     """Run one rule and return its (tie-broken) schedule.
 
-    The heuristics compile the profile once: ``lmt-ls`` descends from the
-    ``lmt`` order on the same compiled form and its due tables.
+    ``lmt-ls`` descends from the ``lmt`` order; both read the same kept
+    compiled profile and its due tables.
     """
     name = rule_name(rule)
     if name in EXACT_RULES:
         return solve_exact(tasks, profile, EXACT_RULES[name]).schedule
-    _require_same_tasks(tasks, profile)
-    compiled = _compile_profile(profile)
-    start = _lmt(compiled)
+    start = lmt(tasks, profile)
     if name == "lmt":
         return start
-    improved, _ = _local_search(start, compiled, Objective.SUM_DEVIATION)
+    improved, _ = local_search(start, profile, Objective.SUM_DEVIATION)
     return improved

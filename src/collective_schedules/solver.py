@@ -21,12 +21,12 @@ smallest.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, permutations
 from math import factorial
 
 from .errors import TooManyTasksError
-from .metrics import CompiledProfile, _compile_profile, _evaluator, _transitions
+from .metrics import _compile_profile, _evaluator, _transitions
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_same_tasks
 
 ORACLE_MAX_TASKS = 9
@@ -120,32 +120,18 @@ def solve_exact(
     State: the set of tasks already scheduled (as a bitmask over declared
     indices).  Value: the best achievable cost of scheduling the remaining
     tasks.  Memory and time grow as 2^n, hence the ``max_tasks`` guard.
+    ``wall_time_s`` covers the whole call, including the compile when
+    ``profile`` is not the kept one and any due table or pair count that no
+    earlier call on it built.
     """
     started = time.perf_counter()
     objective = Objective(objective)
     options = options or SolveOptions()
-    _require_task_limit(tasks.n, options)
-    _require_same_tasks(tasks, profile)
-    report = _solve_exact(_compile_profile(profile), objective, options)
-    return replace(report, wall_time_s=time.perf_counter() - started)
-
-
-def _solve_exact(
-    compiled: CompiledProfile,
-    objective: Objective,
-    options: SolveOptions | None = None,
-) -> SolveReport:
-    """:func:`solve_exact` on a compiled profile, for an :class:`Objective` member.
-
-    ``wall_time_s`` covers this call only: the compile, and any due table
-    or pair count already built on ``compiled``, are not in it.
-    """
-    started = time.perf_counter()
-    options = options or SolveOptions()
-    tasks = compiled.tasks
     n = tasks.n
-    _require_task_limit(n, options)
-    step, _ = _transitions(compiled, objective, tabulate=True)
+    if n > options.max_tasks:
+        raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
+    _require_same_tasks(tasks, profile)
+    step, _ = _transitions(_compile_profile(profile), objective, tabulate=True)
 
     lengths = tasks.lengths
     full = (1 << n) - 1
@@ -207,11 +193,6 @@ def enumerate_optima(
     report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
     assert report.optima is not None
     return report.optima, report.optima_complete
-
-
-def _require_task_limit(n: int, options: SolveOptions) -> None:
-    if n > options.max_tasks:
-        raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
 
 
 def _optimal_orders(n, h, load, step):

@@ -291,6 +291,14 @@ class TestLengthReductionProbe:
         starts = [completion_times(s, reduced)["1"] - 1 for s in after.optima]
         assert min(starts) <= witness["start_before"]
 
+    @pytest.mark.parametrize("rule", ["sum-dev", "sum-tard", "pta-kemeny", "lmt", "lmt-ls"])
+    def test_validates_the_profile_once(self, rule, compile_counts):
+        # the rule's compile reads the kept profile, and the reduced copy is
+        # valid by construction
+        _, profile, target, reduced = deviation_length_reduction_counterexample()
+        lrm_probe(profile, rule, target, reduced)
+        assert compile_counts["validate_profile"] == 1
+
     @pytest.mark.parametrize("bad", [0, -2, 10, 17, 2.5])
     def test_invalid_reductions_rejected(self, bad):
         tasks, profile, target, _ = deviation_length_reduction_counterexample()

@@ -140,26 +140,26 @@ class TestRunAuditAxioms:
 
     def test_one_exact_solve_per_rule_and_instance(self, monkeypatch):
         calls = []
-        solve = experiments._solve_exact
+        solve = experiments.solve_exact
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_solve_exact", counting)
+        monkeypatch.setattr(experiments, "solve_exact", counting)
         report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
                                   include_times=False)
         assert any(d["has_consistent_schedule"] for d in report.instances)
         assert len(calls) == 3 * len(report.instances)
 
     def test_precedence_lists_built_once_per_instance(self, monkeypatch):
-        calls = {"_binding_pairs": 0, "_unanimous_pairs": 0}
+        calls = {"pta_condorcet_constraints": 0, "unanimous_pairs": 0}
         for name in calls:
             original = getattr(experiments, name)
 
-            def counting(compiled, name=name, original=original):
+            def counting(profile, name=name, original=original):
                 calls[name] += 1
-                return original(compiled)
+                return original(profile)
 
             monkeypatch.setattr(experiments, name, counting)
         report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,

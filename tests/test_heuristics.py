@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from collective_schedules import rules
 from collective_schedules import (
     GenSpec,
     MismatchedTaskSetError,
@@ -177,3 +178,18 @@ class TestOneCompilePerCall:
         tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
         apply_rule(rule, tasks, profile)
         assert compile_counts == {"validate_profile": 1, "due_tables": 1}
+
+    def test_lmt_ls_calls_the_public_heuristics(self, monkeypatch):
+        # a tracer that wraps public names sees the sort and the descent
+        calls = []
+        for name in ("lmt", "local_search"):
+            original = getattr(rules, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(rules, name, counting)
+        tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
+        apply_rule("lmt-ls", tasks, profile)
+        assert calls == ["lmt", "local_search"]

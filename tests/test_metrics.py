@@ -1,10 +1,14 @@
 """Scoring functions and rank distances on hand-checked instances."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective_schedules import (
+    GenSpec,
     MismatchedTaskSetError,
     Objective,
     PreferenceProfile,
@@ -13,13 +17,20 @@ from collective_schedules import (
     UnknownTaskError,
     completion_times,
     deviation,
+    generate,
     kendall_tau,
+    lmt,
     local_search,
+    lrm_probe,
+    median_completion_times,
     pairwise_counts,
+    pta_condorcet_constraints,
     pta_kendall_tau,
     score,
+    solve_exact,
     spearman_footrule,
     tardiness,
+    unanimous_pairs,
 )
 
 # Every permutation of the shared example, scored by hand:
@@ -215,3 +226,75 @@ def test_non_permutation_schedules_rejected(example, entry, case):
         SCHEDULE_ENTRY_POINTS[entry](Schedule(order), tasks, profile)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+class TestKeptCompiledProfile:
+    """One compiled form is kept, for the profile most recently compiled."""
+
+    @staticmethod
+    def every_entry_point(tasks, profile):
+        start = lmt(tasks, profile)
+        results = [start, local_search(start, profile, Objective.SUM_DEVIATION)]
+        for objective in Objective:
+            results.append(score(start, profile, objective))
+            results.append(replace(solve_exact(tasks, profile, objective), wall_time_s=0.0))
+        return results + [pta_condorcet_constraints(profile), unanimous_pairs(profile)]
+
+    @pytest.mark.parametrize(
+        "groups, error, message",
+        [
+            (((("1", "2"), 1),), MismatchedTaskSetError, "group 0 is missing task(s) ['3']"),
+            (((("1", "2", "9"), 1),), UnknownTaskError, "group 0 names unknown task '9'"),
+            (((("1", "2", "3"), 0),), ValueError, "multiplicity must be a positive integer, got 0"),
+        ],
+    )
+    def test_invalid_profile_raises_the_same_error_every_call(self, example, groups, error, message):
+        tasks, _ = example
+        profile = PreferenceProfile.of(tasks, *groups)
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                score(Schedule.of("1", "2", "3"), profile, Objective.SUM_DEVIATION)
+            assert type(caught.value) is error and str(caught.value) == message
+
+    def test_one_validation_and_one_table_build_per_profile(self, compile_counts):
+        tasks, profile = generate(GenSpec(6, 20, "uniform", (1, 10), 3))
+        self.every_entry_point(tasks, profile)
+        assert compile_counts == {"validate_profile": 1, "due_tables": 1}
+
+    def test_the_slot_holds_one_profile(self, compile_counts):
+        tasks, a = generate(GenSpec(5, 9, "uniform", (1, 10), 1))
+        _, b = generate(GenSpec(5, 9, "uniform", (1, 10), 2))
+        for profile in (a, b, a):
+            lmt(profile.tasks, profile)
+        assert compile_counts == {"validate_profile": 3, "due_tables": 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), share=st.sampled_from(["tasks", "ballots", "nothing"]))
+    def test_results_never_come_from_the_previous_profile(self, data, share):
+        # A and B share their task set, or also their ballots (so only the
+        # multiplicities differ), or nothing
+        n = data.draw(st.integers(1, 6))
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        tasks = TaskSet(tuple(zip((f"t{i}" for i in range(n)), lengths)))
+        ballots = st.lists(st.permutations(tasks.ids), min_size=1, max_size=4)
+
+        def groups(orders):
+            return [(order, data.draw(st.integers(1, 5))) for order in orders]
+
+        a_groups = groups(data.draw(ballots))
+        b_groups = groups([order for order, _ in a_groups] if share == "ballots" else data.draw(ballots))
+        b_tasks = TaskSet(tuple(zip(tasks.ids, lengths[::-1]))) if share == "nothing" else tasks
+        a = PreferenceProfile.of(tasks, *a_groups)
+        b = PreferenceProfile.of(b_tasks, *b_groups)
+        fresh = PreferenceProfile.of(TaskSet(b_tasks.tasks), *b_groups)
+
+        expected = self.every_entry_point(fresh.tasks, fresh)
+        self.every_entry_point(tasks, a)
+        assert self.every_entry_point(b_tasks, b) == expected
+        # the reduced copy that lrm_probe keeps as valid
+        target = next((tid for tid in b_tasks.ids if b_tasks.length(tid) >= 2), None)
+        if target is not None:
+            for rule in ("sum-dev", "lmt-ls"):
+                expected = lrm_probe(fresh, rule, target, 1)
+                lmt(tasks, a)
+                assert lrm_probe(b, rule, target, 1) == expected

@@ -23,8 +23,6 @@ from collective_schedules import (
     local_search,
     solve_exact,
 )
-from collective_schedules.metrics import _compile_profile
-from collective_schedules.solver import _solve_exact
 from test_delta_search import reference_local_search
 
 MODELS = ("uniform", "plackett-luce")
@@ -305,16 +303,14 @@ class TestMemory:
             gc.enable()
 
     def test_shared_tables_leave_no_reference_cycles(self):
-        # the compiled profile keeps its due tables and pair counts, which
-        # hold no reference back to it or to a solve's own tables
+        # the kept compiled profile keeps its due tables and pair counts,
+        # which hold no reference back to it or to a solve's own tables
         tasks, profile = generate(GenSpec(6, 5, "uniform", (1, 3), 7))
         gc.collect()
         gc.disable()
         try:
-            compiled = _compile_profile(profile)
             for objective in list(Objective) * 2:
-                _solve_exact(compiled, objective, SolveOptions(enumerate_all=True))
-            del compiled
+                solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True))
             for rule in ("lmt", "lmt-ls"):
                 apply_rule(rule, tasks, profile)
             assert gc.collect() == 0
