@@ -34,11 +34,9 @@ from .model import (
 from .metrics import (
     PairwiseCountMatrix,
     deviation,
-    kendall_tau,
     pairwise_counts,
     pta_kendall_tau,
     score,
-    spearman_footrule,
     tardiness,
 )
 from .solver import (
@@ -120,7 +118,6 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "is_pta_condorcet_consistent",
-    "kendall_tau",
     "lmt",
     "load_instance",
     "loads_instance",
@@ -137,7 +134,6 @@ __all__ = [
     "rule_name",
     "score",
     "solve_exact",
-    "spearman_footrule",
     "swap_tasks_in_profile",
     "tardiness",
     "unanimous_pairs",

@@ -254,7 +254,7 @@ def run_lrm_audit(
     _require_count("instances", instances)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
-    _, longest = length_range
+    longest = length_range[-1] if isinstance(length_range, (tuple, list)) and len(length_range) == 2 else None
     # GenSpec rejects every other malformed range
     if isinstance(longest, int) and longest < 2:
         raise InvalidSpecError(f"no task can be shortened with lengths in {length_range!r}")

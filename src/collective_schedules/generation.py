@@ -37,10 +37,9 @@ MODEL_ALIASES = {
 
 
 def canonical_model(name: str) -> str:
-    try:
+    if isinstance(name, str) and name.lower() in MODEL_ALIASES:
         return MODEL_ALIASES[name.lower()]
-    except KeyError:
-        raise InvalidSpecError(f"unknown ballot model {name!r}") from None
+    raise InvalidSpecError(f"unknown ballot model {_shown(name)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,13 +64,20 @@ class GenSpec:
             raise InvalidSpecError(f"need at least one voter, got v={_shown(self.v)}")
         if self.model not in MODELS:
             raise InvalidSpecError(f"unknown ballot model {_shown(self.model)}")
-        lo, hi = self.length_range
+        try:
+            lo, hi = self.length_range
+        except (TypeError, ValueError):
+            lo = hi = None
         if any(not isinstance(b, int) or isinstance(b, bool) for b in (lo, hi)) or not 1 <= lo <= hi:
             raise InvalidSpecError(f"bad length range {_shown(self.length_range)}")
         if self.utilities is not None:
             if self.model != MODEL_PLACKETT_LUCE:
                 raise InvalidSpecError("utilities only apply to the plackett-luce model")
-            if len(self.utilities) != self.n or any(not 0 < u < float("inf") for u in self.utilities):
+            try:
+                ok = len(self.utilities) == self.n and all(0 < u < float("inf") for u in self.utilities)
+            except TypeError:
+                ok = False
+            if not ok:
                 raise InvalidSpecError("need one positive finite utility per task")
 
 

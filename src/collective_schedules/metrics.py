@@ -25,9 +25,9 @@ order from the ballots (:func:`_evaluator`, for scoring and the brute-force
 oracle), and its transition costs charge one more task (:func:`_transitions`),
 which the exact solver and the local search read.
 
-``kendall_tau`` and ``spearman_footrule`` are the classical unweighted
-distances between two schedules; with unit-length tasks they coincide with
-``pta_kendall_tau`` and ``deviation`` against a single voter.
+The classical distances between two orders are the unit-length cases
+against a single voter: Kendall tau is ``pta_kendall_tau`` and Spearman's
+footrule is ``deviation``, both through :func:`score`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
-from .errors import MismatchedTaskSetError
 from .model import (
     Objective,
     PreferenceProfile,
@@ -84,22 +83,9 @@ def tardiness(schedule: Schedule, profile: PreferenceProfile) -> int:
     return score(schedule, profile, Objective.SUM_TARDINESS)
 
 
-def pta_kendall_tau(
-    schedule: Schedule,
-    profile: PreferenceProfile,
-    counts: PairwiseCountMatrix | None = None,
-) -> int:
-    """Processing-time-aware Kendall tau score of ``schedule``.
-
-    Pass a precomputed ``counts`` matrix when scoring many schedules
-    against the same profile.
-    """
-    if counts is None:
-        counts = pairwise_counts(profile)
-    elif counts.tasks != profile.tasks:
-        raise MismatchedTaskSetError("count matrix was built for a different task set")
-    tasks = profile.tasks
-    return _pta_kernel(_require_permutation(schedule, tasks), tasks.lengths, counts.counts)
+def pta_kendall_tau(schedule: Schedule, profile: PreferenceProfile) -> int:
+    """Processing-time-aware Kendall tau score of ``schedule``."""
+    return score(schedule, profile, Objective.PTA_KENDALL_TAU)
 
 
 def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) -> int:
@@ -107,28 +93,6 @@ def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) 
     objective = Objective(objective)
     evaluate = _evaluator(_compile_profile(profile), objective)
     return evaluate(_require_permutation(schedule, profile.tasks))
-
-
-def kendall_tau(a: Schedule, b: Schedule, tasks: TaskSet | None = None) -> int:
-    """Number of task pairs the two schedules order oppositely.
-
-    ``tasks`` is optional; without it the two orders only need to be
-    permutations of one another.
-    """
-    pos_a, pos_b = _pair_positions(a, b, tasks)
-    n = len(pos_a)
-    out = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (pos_a[i] < pos_a[j]) != (pos_b[i] < pos_b[j]):
-                out += 1
-    return out
-
-
-def spearman_footrule(a: Schedule, b: Schedule, tasks: TaskSet | None = None) -> int:
-    """Sum over tasks of the absolute difference in position."""
-    pos_a, pos_b = _pair_positions(a, b, tasks)
-    return sum(abs(pa - pb) for pa, pb in zip(pos_a, pos_b))
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +319,3 @@ def _pta_kernel(
             total += weight * counts[order[c]][earlier]
     return total
 
-
-def _positions(schedule: Schedule, tasks: TaskSet) -> list[int]:
-    pos = [0] * tasks.n
-    for rank, i in enumerate(_require_permutation(schedule, tasks)):
-        pos[i] = rank
-    return pos
-
-
-def _pair_positions(
-    a: Schedule, b: Schedule, tasks: TaskSet | None
-) -> tuple[list[int], list[int]]:
-    if tasks is not None:
-        return _positions(a, tasks), _positions(b, tasks)
-    rank_a = {tid: rank for rank, tid in enumerate(a.order)}
-    if len(rank_a) != len(a.order):
-        raise MismatchedTaskSetError("first schedule repeats a task")
-    if sorted(b.order) != sorted(a.order):
-        raise MismatchedTaskSetError("schedules cover different tasks")
-    ids = list(a.order)
-    pos_b = {tid: rank for rank, tid in enumerate(b.order)}
-    return [rank_a[tid] for tid in ids], [pos_b[tid] for tid in ids]

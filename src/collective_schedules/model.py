@@ -205,18 +205,14 @@ def completion_times(schedule: Schedule, tasks: TaskSet) -> dict[str, int]:
     return {tid: comp[i] for tid, i in zip(schedule.order, order)}
 
 
-def validate_profile(profile: PreferenceProfile, tasks: TaskSet | None = None) -> ProfileValidation:
-    """Check a profile against a task set and report every defect found.
+def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
+    """Check a profile's ballots against its task set and report every defect found.
 
-    ``tasks`` defaults to the profile's own task set; passing a different
-    one flags the mismatch as a defect.  The profile most recently found
-    valid is kept, so the next scoring, solving or audit call on it
-    compiles it without validating it again.
+    The profile most recently found valid is kept, so the next scoring,
+    solving or audit call on it compiles it without validating it again.
     """
-    tasks = tasks if tasks is not None else profile.tasks
+    tasks = profile.tasks
     defects: list[ProfileDefect] = []
-    if tasks != profile.tasks:
-        defects.append(ProfileDefect(None, "mismatched-task-set", "profile was built over a different task set"))
     if not profile.groups:
         defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
     voters = 0
@@ -254,7 +250,7 @@ def require_valid_profile(profile: PreferenceProfile) -> None:
     defect = report.defects[0]
     if defect.code == "unknown-task":
         raise UnknownTaskError(defect.message)
-    if defect.code in ("missing-task", "duplicate-task", "mismatched-task-set"):
+    if defect.code in ("missing-task", "duplicate-task"):
         raise MismatchedTaskSetError(defect.message)
     raise ValueError(defect.message)
 

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import collective_schedules.model as model_module
@@ -28,11 +28,11 @@ from collective_schedules import (
     local_search,
     median_completion_times,
     pairwise_counts,
-    pta_kendall_tau,
     require_valid_profile,
     score,
 )
 from collective_schedules.generation import MODELS
+from collective_schedules.metrics import _compile_profile, _evaluator, _transitions
 from collective_schedules.model import _require_permutation
 
 
@@ -52,15 +52,8 @@ def reference_local_search(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
 
-    counts = pairwise_counts(profile) if objective is Objective.PTA_KENDALL_TAU else None
-
-    def evaluate(s: Schedule) -> int:
-        if counts is not None:
-            return pta_kendall_tau(s, profile, counts)
-        return score(s, profile, objective)
-
     current = schedule
-    current_score = evaluate(schedule)
+    current_score = score(schedule, profile, objective)
     start_score = current_score
     steps: list[LocalSearchStep] = []
     terminated_by = "local-optimum"
@@ -74,7 +67,7 @@ def reference_local_search(
         for pos in range(len(order) - 1):
             swapped = list(order)
             swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-            value = evaluate(Schedule(tuple(swapped)))
+            value = score(Schedule(tuple(swapped)), profile, objective)
             if value < best_score:  # strict: leftmost candidate wins ties
                 best_score = value
                 best_pos = pos
@@ -166,6 +159,60 @@ class TestDeltaSearchMatchesFullRescore:
             _, trace = local_search(start, PreferenceProfile(tasks, profile.groups), objective)
             assert trace.steps
             assert len(calls) == 1
+
+
+@st.composite
+def row_rule_instances(draw, rows):
+    """An instance with ``n * total_load <= 2**n`` (``rows``) or above it.
+
+    That bound decides whether ``_transitions(..., tabulate=True)`` reads
+    the deviation and tardiness charges from per-start rows or bisects the
+    due tables.
+    """
+    if rows:
+        n = draw(st.sampled_from([1, 2, 4, 5, 6, 7, 8]))  # at n = 3 even unit lengths exceed it
+        budget = 2**n // n
+        lengths: list[int] = []
+        for i in range(n):
+            lengths.append(draw(st.integers(1, budget - sum(lengths) - (n - 1 - i))))
+    else:
+        n = draw(st.integers(1, 8))
+        lengths = draw(st.lists(st.integers(1, 12) | st.integers(13, 10**12), min_size=n, max_size=n))
+        assume(n * sum(lengths) > 2**n)
+    tasks = TaskSet(tuple((f"t{i}", length) for i, length in enumerate(lengths)))
+    ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=6))
+    counts = draw(st.lists(multiplicities, min_size=len(ballots), max_size=len(ballots)))
+    return tasks, PreferenceProfile.of(tasks, *zip(ballots, counts))
+
+
+class TestTransitionsMatchKernels:
+    """``_transitions``' ``step`` and ``pair`` against the full-score kernels of
+    ``_evaluator``, tabulated or not, with and without the per-start rows."""
+
+    @pytest.mark.parametrize("rows", [True, False])
+    @pytest.mark.parametrize("tabulate", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_steps_sum_to_the_score_and_pairs_give_each_swap(self, tabulate, rows, data, objective):
+        tasks, profile = data.draw(row_rule_instances(rows))
+        assert (tasks.n * tasks.total_load <= 2**tasks.n) == rows
+        compiled = _compile_profile(profile)
+        evaluate = _evaluator(compiled, objective)
+        step, pair = _transitions(compiled, objective, tabulate)
+        order = data.draw(st.permutations(range(tasks.n)))
+        total = start = mask = 0
+        for i in order:
+            total += step(i, mask, start)
+            start += tasks.lengths[i]
+            mask |= 1 << i
+        assert total == evaluate(order)
+        start = 0
+        for pos in range(tasks.n - 1):
+            a, b = order[pos], order[pos + 1]
+            swapped = list(order)
+            swapped[pos], swapped[pos + 1] = b, a
+            assert pair(b, a, start) - pair(a, b, start) == evaluate(swapped) - evaluate(order)
+            start += tasks.lengths[a]
 
 
 class TestMedianFromDueTables:

@@ -13,6 +13,7 @@ from collective_schedules import (
     pairwise_counts,
     validate_profile,
 )
+from collective_schedules.experiments import run_compare, run_lrm_audit
 from collective_schedules.generation import _plackett_luce_ballot
 
 
@@ -81,6 +82,39 @@ class TestGenSpecValidation:
         with pytest.raises(InvalidSpecError, match="too long to print"):
             GenSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: canonical_model(1), "unknown ballot model 1", id="model-int"),
+            pytest.param(lambda: run_compare(models=[1]), "unknown ballot model 1", id="compare-model-int"),
+            pytest.param(lambda: GenSpec(3, 5, length_range=(1, 2, 3)), "bad length range (1, 2, 3)", id="range-triple"),
+            pytest.param(lambda: GenSpec(3, 5, length_range=5), "bad length range 5", id="range-int"),
+            pytest.param(
+                lambda: run_lrm_audit(instances=1, n=3, v=3, length_range=(1, 2, 3)),
+                "bad length range (1, 2, 3)",
+                id="lrm-range-triple",
+            ),
+            pytest.param(
+                lambda: run_lrm_audit(instances=1, n=3, v=3, length_range=5), "bad length range 5", id="lrm-range-int"
+            ),
+            pytest.param(
+                lambda: GenSpec(3, 5, "plackett-luce", utilities=("a", "b", "c")),
+                "need one positive finite utility per task",
+                id="utilities-str",
+            ),
+            pytest.param(
+                lambda: GenSpec(3, 5, "plackett-luce", utilities=5),
+                "need one positive finite utility per task",
+                id="utilities-int",
+            ),
+        ],
+    )
+    def test_malformed_python_specs_raise_invalid_spec_error(self, call, message):
+        # not a stray AttributeError, TypeError or unpacking ValueError
+        with pytest.raises(InvalidSpecError) as caught:
+            call()
+        assert type(caught.value) is InvalidSpecError and str(caught.value) == message
+
 
 class TestGenerate:
     @pytest.mark.parametrize("model", ["uniform", "plackett-luce"])
@@ -89,7 +123,7 @@ class TestGenerate:
         assert tasks.n == 7
         assert all(2 <= length <= 6 for length in tasks.lengths)
         assert profile.voter_count == 23
-        assert validate_profile(profile, tasks).ok
+        assert profile.tasks == tasks and validate_profile(profile).ok
 
     def test_task_ids_are_zero_padded(self):
         tasks, _ = generate(GenSpec(12, 3, "uniform", (1, 10), seed=0))

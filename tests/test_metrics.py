@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective_schedules import (
+    DuplicateTaskError,
     GenSpec,
     MismatchedTaskSetError,
     Objective,
@@ -18,7 +19,6 @@ from collective_schedules import (
     completion_times,
     deviation,
     generate,
-    kendall_tau,
     lmt,
     local_search,
     lrm_probe,
@@ -28,7 +28,6 @@ from collective_schedules import (
     pta_kendall_tau,
     score,
     solve_exact,
-    spearman_footrule,
     tardiness,
     unanimous_pairs,
 )
@@ -127,67 +126,78 @@ class TestPairwiseCounts:
                     assert counts.before(a, b) + counts.before(b, a) == 5
 
     def test_precomputed_counts_give_same_score(self, example):
+        # a before b costs len(a) per voter who wanted b first
         tasks, profile = example
         counts = pairwise_counts(profile)
         for order in permutations(tasks.ids):
-            s = Schedule(order)
-            assert pta_kendall_tau(s, profile, counts) == pta_kendall_tau(s, profile)
+            by_hand = sum(
+                tasks.length(a) * counts.before(b, a)
+                for i, a in enumerate(order)
+                for b in order[i + 1 :]
+            )
+            assert by_hand == pta_kendall_tau(Schedule(order), profile)
 
-    def test_counts_for_other_task_set_rejected(self, example):
-        _, profile = example
-        other_tasks = TaskSet.of(("1", 2), ("2", 4), ("3", 2))
-        other_counts = pairwise_counts(
-            PreferenceProfile.of(other_tasks, (("1", "2", "3"), 1))
-        )
-        with pytest.raises(MismatchedTaskSetError):
-            pta_kendall_tau(Schedule.of("1", "2", "3"), profile, other_counts)
+
+def unit_tasks(ids):
+    return TaskSet(tuple((t, 1) for t in ids))
+
+
+def rank_distances(x, y, tasks=None):
+    """Kendall tau and Spearman's footrule between two orders.
+
+    They are ``score`` under ``pta-kendall-tau`` and ``sum-deviation`` with
+    unit-length tasks (``x``'s by default) and ``y`` as the only voter.
+    """
+    voter = PreferenceProfile.of(tasks or unit_tasks(x.order), (y.order, 1))
+    return score(x, voter, Objective.PTA_KENDALL_TAU), score(x, voter, Objective.SUM_DEVIATION)
+
+
+def unit_voter(tasks):
+    """The declared order of ``tasks`` as the only voter, every length 1."""
+    return PreferenceProfile.of(unit_tasks(tasks.ids), (tasks.ids, 1))
 
 
 class TestRankDistances:
     def test_three_element_reversal(self):
         x = Schedule.of("p", "q", "r")
         y = Schedule.of("r", "q", "p")
-        assert kendall_tau(x, y) == 3
-        assert spearman_footrule(x, y) == 4
+        assert rank_distances(x, y) == (3, 4)
 
     def test_identical_orders(self):
         x = Schedule.of("p", "q", "r")
-        assert kendall_tau(x, x) == 0
-        assert spearman_footrule(x, x) == 0
+        assert rank_distances(x, x) == (0, 0)
 
     def test_single_adjacent_swap(self):
         x = Schedule.of("p", "q", "r")
         y = Schedule.of("q", "p", "r")
-        assert kendall_tau(x, y) == 1
-        assert spearman_footrule(x, y) == 2
+        assert rank_distances(x, y) == (1, 2)
 
     def test_symmetry(self):
         x = Schedule.of("a", "b", "c", "d")
         y = Schedule.of("c", "a", "d", "b")
-        assert kendall_tau(x, y) == kendall_tau(y, x)
-        assert spearman_footrule(x, y) == spearman_footrule(y, x)
+        assert rank_distances(x, y) == rank_distances(y, x)
 
     def test_explicit_task_set_agrees(self):
-        tasks = TaskSet.of(("p", 1), ("q", 2), ("r", 3))
+        # the declared order of the unit-length task set plays no part
+        tasks = TaskSet.of(("r", 1), ("p", 1), ("q", 1))
         x = Schedule.of("p", "q", "r")
         y = Schedule.of("r", "q", "p")
-        assert kendall_tau(x, y, tasks) == 3
-        assert spearman_footrule(x, y, tasks) == 4
+        assert rank_distances(x, y, tasks) == (3, 4)
 
     def test_mismatched_orders_rejected(self):
+        with pytest.raises(UnknownTaskError):
+            rank_distances(Schedule.of("a", "b"), Schedule.of("a", "c"))
         with pytest.raises(MismatchedTaskSetError):
-            kendall_tau(Schedule.of("a", "b"), Schedule.of("a", "c"))
-        with pytest.raises(MismatchedTaskSetError):
-            spearman_footrule(Schedule.of("a", "a"), Schedule.of("a", "a"))
+            rank_distances(Schedule.of("a", "b", "c"), Schedule.of("a", "b"))
+        with pytest.raises(DuplicateTaskError):
+            rank_distances(Schedule.of("a", "a"), Schedule.of("a", "a"))
 
     def test_footrule_bounds_kendall(self):
         # Diaconis-Graham: kt <= footrule <= 2 * kt.
         orders = list(permutations(("a", "b", "c", "d")))
         base = Schedule(orders[0])
         for order in orders[1:]:
-            other = Schedule(order)
-            kt = kendall_tau(base, other)
-            fr = spearman_footrule(base, other)
+            kt, fr = rank_distances(base, Schedule(order))
             assert kt <= fr <= 2 * kt
 
 
@@ -201,9 +211,9 @@ SCHEDULE_ENTRY_POINTS = {
     "deviation": lambda s, tasks, profile: deviation(s, profile),
     "tardiness": lambda s, tasks, profile: tardiness(s, profile),
     "pta": lambda s, tasks, profile: pta_kendall_tau(s, profile),
-    "pta-counts": lambda s, tasks, profile: pta_kendall_tau(s, profile, pairwise_counts(profile)),
-    "kendall-tau": lambda s, tasks, profile: kendall_tau(s, Schedule(tasks.ids), tasks),
-    "footrule": lambda s, tasks, profile: spearman_footrule(Schedule(tasks.ids), s, tasks),
+    # the classical distances to the declared order, as rank_distances takes them
+    "kendall-tau": lambda s, tasks, profile: score(s, unit_voter(tasks), Objective.PTA_KENDALL_TAU),
+    "footrule": lambda s, tasks, profile: score(s, unit_voter(tasks), Objective.SUM_DEVIATION),
     "local-search": lambda s, tasks, profile: local_search(s, profile, Objective.SUM_DEVIATION),
     "completion-times": lambda s, tasks, profile: completion_times(s, tasks),
 }
