@@ -14,13 +14,6 @@ import time
 from pathlib import Path
 
 from .errors import CollectiveSchedulesError, InvalidSpecError, TooManyTasksError
-from .experiments import (
-    run_audit_axioms,
-    run_compare,
-    run_lmt_eval,
-    run_lrm_audit,
-    run_uniqueness_audit,
-)
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .io import dumps_instance, read_instance
@@ -30,24 +23,25 @@ from .rules import EXACT_RULES, RULE_NAMES, RULE_OBJECTIVE
 from .solver import SolveOptions, solve_exact
 
 
-# subcommand -> (pipeline, help, flags); each flag is (flag, pipeline
-# keyword, argparse options).  Every pipeline subcommand also takes
-# --seed, --out, --json and --no-times.  No flag has a default: one left
-# out is not passed, so the pipeline's signature supplies it.
+# subcommand -> (pipeline's name in experiments, help, flags); each flag
+# is (flag, pipeline keyword, argparse options).  Every pipeline
+# subcommand also takes --seed, --out, --json and --no-times.  No flag has
+# a default: one left out is not passed, so the pipeline's signature
+# supplies it.
 _PIPELINES = {
-    "compare": (run_compare, "cross-evaluate the exact rules under all metrics", (
+    "compare": ("run_compare", "cross-evaluate the exact rules under all metrics", (
         ("--models", "models", {"help": "comma-separated ballot models"}),
         ("--tasks", "ns", {"help": "comma-separated task counts"}),
         ("--voters", "v", {"type": int}),
         ("--instances", "instances", {"type": int}),
     )),
-    "lmt-eval": (run_lmt_eval, "median heuristic quality versus the exact optimum", (
+    "lmt-eval": ("run_lmt_eval", "median heuristic quality versus the exact optimum", (
         ("--model", "model", {}),
         ("--tasks", "n", {"type": int}),
         ("--voters", "v", {"type": int}),
         ("--instances", "instances", {"type": int}),
     )),
-    "lrm-audit": (run_lrm_audit, "length-reduction monotonicity audit", (
+    "lrm-audit": ("run_lrm_audit", "length-reduction monotonicity audit", (
         ("--instances", "instances", {"type": int}),
         ("--tasks", "n", {"type": int}),
         ("--voters", "v", {"type": int}),
@@ -56,13 +50,13 @@ _PIPELINES = {
             "help": "shrink the target by one unit or to a uniformly drawn smaller length",
         }),
     )),
-    "uniqueness-audit": (run_uniqueness_audit, "how often each rule's optimum is unique", (
+    "uniqueness-audit": ("run_uniqueness_audit", "how often each rule's optimum is unique", (
         ("--models", "models", {}),
         ("--tasks", "ns", {}),
         ("--voters", "vs", {"help": "comma-separated voter counts"}),
         ("--instances", "instances", {"type": int}),
     )),
-    "audit-axioms": (run_audit_axioms, "precedence and unanimity verdicts per rule", (
+    "audit-axioms": ("run_audit_axioms", "precedence and unanimity verdicts per rule", (
         ("--models", "models", {}),
         ("--tasks", "ns", {}),
         ("--voters", "v", {"type": int}),
@@ -195,7 +189,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     for keyword, parse in (("models", _split), ("ns", _int_list), ("vs", _int_list)):
         if keyword in kwargs:
             kwargs[keyword] = parse(kwargs[keyword])
-    report = args.pipeline(**kwargs, include_times=not args.no_times)
+    from . import experiments  # imported on use: solve never loads the pipelines
+
+    report = getattr(experiments, args.pipeline)(**kwargs, include_times=not args.no_times)
     _write_text(args.out, report.to_csv())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())

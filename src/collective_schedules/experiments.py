@@ -16,6 +16,7 @@ import csv
 import io as stringio
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from math import inf
@@ -93,14 +94,18 @@ def instance_seed(base: int, *key: int) -> int:
 def _cells(models, ns, vs, instances, seed, length_range):
     """The seeded corpus shared by the pipelines, one cell per (model, n, v).
 
-    Yields ``(model, n, v, draws)``.  ``draws`` yields ``(record, tasks,
-    profile)`` for each instance ``i`` of the cell, generated from the
-    child seed ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a
-    cell's instances do not depend on which other cells are run.  This
-    starts each instance's record with its ``model``, ``n``, ``v`` and
-    child ``seed``; a pipeline adds its own fields and appends the record,
-    so after a cell its records are the last ``instances`` ones.
+    Checks its arguments and returns ``(models, ns, vs, cells)``: the three
+    axes as lists, each model name canonical, and an iterator of ``(model,
+    n, v, draws)``.  ``draws`` yields ``(record, tasks, profile)`` for each
+    instance ``i`` of the cell, generated from the child seed
+    ``instance_seed(seed, MODELS.index(model), n, v, i)``, so a cell's
+    instances do not depend on which other cells are run.  This starts
+    each instance's record with its ``model``, ``n``, ``v`` and child
+    ``seed``; a pipeline adds its own fields and appends the record, so
+    after a cell its records are the last ``instances`` ones.
     """
+    models = [canonical_model(m) for m in _listed("models", models)]
+    ns, vs = _listed("ns", ns), _listed("vs", vs)
     _require_count("instances", instances)
 
     def draws(model, n, v):
@@ -109,8 +114,7 @@ def _cells(models, ns, vs, instances, seed, length_range):
             record = {"model": model, "n": n, "v": v, "seed": child}
             yield (record, *generate(GenSpec(n, v, model, length_range, child)))
 
-    for model, n, v in product(models, ns, vs):
-        yield model, n, v, draws(model, n, v)
+    return models, ns, vs, ((model, n, v, draws(model, n, v)) for model, n, v in product(models, ns, vs))
 
 
 def run_compare(
@@ -131,10 +135,10 @@ def run_compare(
     time, so ``sum-dev``'s includes the compile and the due tables it
     shares with ``sum-tard``, and ``pta-kemeny``'s its pair counts.
     """
-    models = [canonical_model(m) for m in models]
+    models, ns, _, cells = _cells(models, ns, (v,), instances, seed, length_range)
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
+    for model, n, v, draws in cells:
         for detail, tasks, profile in draws:
             reports = _solve_exact_rules(tasks, profile)
             detail["ratios"] = {
@@ -162,8 +166,8 @@ def run_compare(
                     )
                 )
     params = {
-        "models": list(models),
-        "ns": list(ns),
+        "models": models,
+        "ns": ns,
         "v": v,
         "instances": instances,
         "seed": seed,
@@ -189,9 +193,9 @@ def run_lmt_eval(
     plus the descent, and ``times["sum-dev"]`` the exact solve on the
     shared tables.
     """
-    model = canonical_model(model)
     details: list[dict[str, Any]] = []
-    ((_, _, _, draws),) = _cells((model,), (n,), (v,), instances, seed, length_range)
+    *_, cells = _cells((model,), (n,), (v,), instances, seed, length_range)
+    ((model, _, _, draws),) = cells
     for detail, tasks, profile in draws:
         started = time.perf_counter()
         start = lmt(tasks, profile)
@@ -336,10 +340,10 @@ def run_uniqueness_audit(
     include_times: bool = True,
 ) -> ExperimentReport:
     """How often each exact rule has a single optimal schedule."""
-    models = [canonical_model(m) for m in models]
+    models, ns, vs, cells = _cells(models, ns, vs, instances, seed, length_range)
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model, n, v, draws in _cells(models, ns, vs, instances, seed, length_range):
+    for model, n, v, draws in cells:
         for detail, tasks, profile in draws:
             reports = _solve_exact_rules(tasks, profile)
             detail["optimum_count"] = {rule: report.optimum_count for rule, report in reports.items()}
@@ -360,9 +364,9 @@ def run_uniqueness_audit(
                 )
             )
     params = {
-        "models": list(models),
-        "ns": list(ns),
-        "vs": list(vs),
+        "models": models,
+        "ns": ns,
+        "vs": vs,
         "instances": instances,
         "seed": seed,
         "length_range": list(length_range),
@@ -388,10 +392,10 @@ def run_audit_axioms(
     instance is compiled once, and ``times["instance"]`` covers all of it.
     """
     _require_count("cap", cap)
-    models = [canonical_model(m) for m in models]
+    models, ns, _, cells = _cells(models, ns, (v,), instances, seed, length_range)
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
-    for model, n, v, draws in _cells(models, ns, (v,), instances, seed, length_range):
+    for model, n, v, draws in cells:
         for detail, tasks, profile in draws:
             started = time.perf_counter()
             binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
@@ -444,8 +448,8 @@ def run_audit_axioms(
     per_instance = _mean_time(details, "instance", include_times)
     rows = [replace(r, mean_time=per_instance) if r.metric == "pta-condorcet-all-optima" else r for r in rows]
     params = {
-        "models": list(models),
-        "ns": list(ns),
+        "models": models,
+        "ns": ns,
         "v": v,
         "instances": instances,
         "seed": seed,
@@ -478,6 +482,13 @@ def _ratio(value: int, optimum: int) -> float:
 def _mean_time(records: Sequence[dict[str, Any]], key: str, include: bool) -> float | None:
     # an empty corpus (no models or sizes requested) has no time to report
     return fmean(r["times"][key] for r in records) if include and records else None
+
+
+def _listed(name: str, values: Iterable[Any]) -> list[Any]:
+    # a string is iterable, but as a list of models it would be read letter by letter
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InvalidSpecError(f"{name} must be a list, got {values!r}")
+    return list(values)
 
 
 def _require_count(name: str, value: int) -> None:

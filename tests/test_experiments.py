@@ -261,6 +261,21 @@ def test_instance_count_must_be_a_positive_int(pipeline, count):
         pipeline(instances=count)
 
 
+@pytest.mark.parametrize(
+    "pipeline, keyword, value",
+    [
+        (run_compare, "models", "uniform"),  # not split into letters
+        (run_compare, "models", "uc"),  # not read as two short names
+        (run_audit_axioms, "models", "pl"),
+        (run_compare, "ns", 5),
+        (run_uniqueness_audit, "vs", 5),
+    ],
+)
+def test_list_arguments_must_be_lists(pipeline, keyword, value):
+    with pytest.raises(InvalidSpecError, match=f"{keyword} must be a list"):
+        pipeline(**{keyword: value}, instances=1)
+
+
 # Every report statistic can be recomputed from the report's own instance
 # records: per (model, n, v) cell, and for lrm-audit per model and over all.
 METRIC_RULE = {objective.value: rule for rule, objective in rules.EXACT_RULES.items()}

@@ -289,15 +289,20 @@ class TestCliSolve:
         assert "Traceback" not in run.stderr
 
     def test_solve_never_loads_numpy(self, instance_file):
-        # numpy is most of the package's import time, and no rule needs it
+        # numpy is most of the package's import time, and no rule needs it;
+        # nor does any rule run the pipelines or the audits
         script = f"""
 import sys
+import collective_schedules
+loaded = [name for name in sys.modules if name.startswith("collective_schedules.")]
+assert not loaded, "loaded by the package import: " + ", ".join(loaded)
 from collective_schedules.cli import main
 from collective_schedules.rules import RULE_NAMES
 assert "numpy" not in sys.modules, "loaded by import"
 for rule in RULE_NAMES:
     assert main(["solve", "--rule", rule, "--input", {instance_file!r}, "--all-optima"]) == 0
-    assert "numpy" not in sys.modules, "loaded by " + rule
+    for module in ("numpy", "collective_schedules.experiments", "collective_schedules.axioms"):
+        assert module not in sys.modules, module + " loaded by " + rule
 """
         run = _python("-c", script)
         assert run.returncode == 0, run.stderr
