@@ -88,10 +88,10 @@ def local_search(
         raise ValueError("max_steps must be nonnegative")
 
     lengths = tasks.lengths
-    step, pair = _transitions(compiled, objective)
+    charges, pair = _transitions(compiled, objective)
     current_score = start = mask = 0
     for i in order:
-        current_score += step(i, mask, start)
+        current_score += charges(mask, start)[i]
         start += lengths[i]
         mask |= 1 << i
 

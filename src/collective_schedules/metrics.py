@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .model import (
     Objective,
@@ -170,26 +170,26 @@ def _due_prefix_tables(compiled: CompiledProfile):
 
 
 def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool = False):
-    """``(step, pair)``: the objective's cost split into per-task charges.
+    """``(charges, pair)``: the objective's cost split into per-task charges.
 
-    ``step(i, mask, start)`` is the charge for running task ``i`` from time
-    ``start`` once the tasks in the bitmask ``mask`` have run (``i`` not
-    among them); an order's score is the sum of its steps.  ``pair(a, b,
-    start)`` holds the terms that change when adjacent ``a`` then ``b``,
-    starting at ``start``, swap places: the swap changes the score by
-    ``pair(b, a, start) - pair(a, b, start)``.
+    ``charges(mask, start)`` gives ``c``, where ``c[i]`` is the charge for
+    running task ``i`` from time ``start`` once the tasks in the bitmask
+    ``mask`` (``i`` not among them) have run; an order's score is the sum
+    of its charges.  ``pair(a, b, start)`` holds the terms that change when
+    adjacent ``a`` then ``b``, starting at ``start``, swap places: the swap
+    changes the score by ``pair(b, a, start) - pair(a, b, start)``.
 
-    The pairwise ``step`` sums a column over the tasks not in the mask in
-    O(n); the deviation and tardiness charges depend only on the finish
-    time and bisect the due tables in O(log groups).  The exact solver,
-    which makes n 2^(n-1) step calls, passes ``tabulate`` to make each an
-    O(1) lookup: the pairwise charge reads two subset-sum tables per task,
-    one for each half of the mask (2 n 2^(n/2) entries in all), and the
-    deviation and tardiness charges read one row per task over every
-    start.  The rows are built only while they hold at most 2^n entries
-    (``n`` times the total load), no more than the solver's own value
-    table and at most 2/n of the charges they replace; longer instances,
-    whose lengths may reach 10^12, keep the bisect.
+    The exact solver, which reads n 2^(n-1) charges, passes ``tabulate``
+    for lists: the pairwise ``c`` adds two rows of length-scaled subset
+    sums, one per half of the mask (2 n 2^(n/2) entries), and the deviation
+    and tardiness ``c`` is the row of charges at ``start``, built when that
+    start is first reached.  Those rows are built only while the total load
+    is below 2^(n-1), so they cost no more charges than they replace, and
+    hold at most max(2^n, 2^16) entries.  Otherwise ``c`` is one
+    :class:`_OnRead`, rebound by each call, so it is read before the next:
+    in O(n) per charge for the pairwise objective, and for deviation and
+    tardiness, which depend only on the finish time, by bisecting the due
+    tables in O(log groups).
     """
     lengths = compiled.lengths
     n = len(lengths)
@@ -198,65 +198,67 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
         # first, so the charge is lengths[i] times column i summed over the
         # tasks not in the mask
         counts = compiled.pair_counts
-        cols = [[row[i] for row in counts] for i in range(n)]  # cols[i][j] = counts[j][i]
-        if tabulate:
-            half = n // 2
-            low_bits = (1 << half) - 1
-            colsum = [sum(col) for col in cols]
-            lo = [_subset_sums(col[:half]) for col in cols]
-            hi = [_subset_sums(col[half:]) for col in cols]
 
-            def step(i: int, mask: int, start: int) -> int:
-                return lengths[i] * (colsum[i] - lo[i][mask & low_bits] - hi[i][mask >> half])
-
-        else:
-
-            def step(i: int, mask: int, start: int) -> int:
-                return lengths[i] * sum(c for j, c in enumerate(cols[i]) if not mask >> j & 1)
+        def charge(i: int, mask: int, start: int) -> int:
+            return lengths[i] * sum(row[i] for j, row in enumerate(counts) if not mask >> j & 1)
 
         def pair(a: int, b: int, start: int) -> int:
             return lengths[a] * counts[b][a]
 
-        return step, pair
-
-    # deviation or tardiness of task i finishing at start + lengths[i]
-    tardy_only = objective is Objective.SUM_TARDINESS
-    table = compiled.due_tables
-
-    def charge(i: int, start: int) -> int:
-        dues, cum_mult, cum_due, total_mult, total_due = table[i]
-        finish = start + lengths[i]
-        r = bisect_right(dues, finish)
-        late = finish * cum_mult[r] - cum_due[r]
-        if tardy_only:
-            return late
-        return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
-
-    total_load = sum(lengths)
-    if tabulate and n * total_load <= 1 << n:
-        rows = [[charge(i, start) for start in range(total_load - lengths[i] + 1)] for i in range(n)]
-
-        def step(i: int, mask: int, start: int) -> int:
-            return rows[i][start]
-
+        if tabulate:
+            # lo[m]: the charges once the low-half tasks in m have run; hi[m]: what the high-half ones add
+            waiting = [list(map(mul, lengths, row)) for row in counts]
+            half, low_bits = n // 2, (1 << n // 2) - 1
+            lo, hi = [[sum(col) for col in zip(*waiting)]], [[0] * n]
+            for sums, vectors in ((lo, waiting[:half]), (hi, waiting[half:])):
+                for vector in vectors:  # the masks with this bit set follow those without
+                    sums += [list(map(sub, s, vector)) for s in sums]
+            return lambda mask, start: list(map(add, lo[mask & low_bits], hi[mask >> half])), pair
     else:
+        # deviation or tardiness of task i finishing at start + lengths[i]
+        tardy_only = objective is Objective.SUM_TARDINESS
+        table = compiled.due_tables
 
-        def step(i: int, mask: int, start: int) -> int:
-            return charge(i, start)
+        def charge(i: int, mask: int, start: int) -> int:
+            dues, cum_mult, cum_due, total_mult, total_due = table[i]
+            finish = start + lengths[i]
+            r = bisect_right(dues, finish)
+            late = finish * cum_mult[r] - cum_due[r]
+            if tardy_only:
+                return late
+            return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
 
-    def pair(a: int, b: int, start: int) -> int:
-        return charge(a, start) + charge(b, start + lengths[a])
+        def pair(a: int, b: int, start: int) -> int:
+            return charge(a, 0, start) + charge(b, 0, start + lengths[a])
 
-    return step, pair
+        total_load = sum(lengths)
+        if tabulate and total_load < 1 << (n - 1) and n * (total_load + 1) <= max(1 << n, 1 << 16):
+            rows = [None] * (total_load + 1)
+
+            def charges(mask: int, start: int) -> list[int]:
+                row = rows[start]
+                if row is None:
+                    row = rows[start] = [charge(i, 0, start) for i in range(n)]
+                return row
+
+            return charges, pair
+    return _OnRead(charge).at, pair
 
 
-def _subset_sums(values: list[int]) -> list[int]:
-    """``sums[m]``: the sum of ``values[k]`` over the set bits ``k`` of ``m``."""
-    sums = [0] * (1 << len(values))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
-    return sums
+class _OnRead:
+    """``c[i]``: ``charge(i, mask, start)`` for the latest :meth:`at`, rebound: one per mask costs more than its reads."""
+
+    __slots__ = ("charge", "mask", "start")
+
+    def __init__(self, charge) -> None:
+        self.charge = charge
+
+    def at(self, mask: int, start: int) -> _OnRead:
+        self.mask, self.start = mask, start
+        return self
+
+    def __getitem__(self, i: int) -> int:
+        return self.charge(i, self.mask, self.start)
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:

@@ -151,8 +151,8 @@ class PreferenceProfile:
 
     @classmethod
     def of(cls, tasks: TaskSet, *groups: tuple[Sequence[str], int]) -> "PreferenceProfile":
-        """Build a profile from (order, multiplicity) pairs."""
-        return cls(tasks, tuple((Schedule(tuple(order)), int(mult)) for order, mult in groups))
+        """Build a profile from (order, multiplicity) pairs, multiplicities as given."""
+        return cls(tasks, tuple((Schedule(tuple(order)), mult) for order, mult in groups))
 
     @classmethod
     def from_orders(cls, tasks: TaskSet, orders: Iterable[Sequence[str]]) -> "PreferenceProfile":

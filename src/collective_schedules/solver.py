@@ -9,9 +9,9 @@ Two independent routes to the optimum:
   Appending one task to a fixed prefix changes each objective by an amount
   that depends only on the prefix load (for deviation and tardiness) or on
   the set of tasks already scheduled (for the pairwise objective), so
-  optimal completions of every subset can be combined bottom-up.  Each
-  transition is charged in O(1) from the scheduled-set bitmask (see
-  ``metrics._transitions``), so a fill costs O(n 2^n).
+  optimal completions of every subset can be combined bottom-up.  One call
+  per subset gives the charges of all its transitions, each then read in
+  O(1) (see ``metrics._transitions``), so a fill costs O(n 2^n).
 
 Both report the same exact integer optimum; ties are always broken toward
 the schedule whose sequence of declared task indices is lexicographically
@@ -131,40 +131,36 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    step, _ = _transitions(_compile_profile(profile), objective, tabulate=True)
+    charges, _ = _transitions(_compile_profile(profile), objective, tabulate=True)
 
-    lengths = tasks.lengths
     full = (1 << n) - 1
-    bit = [1 << i for i in range(n)]
+    bits = [(i, 1 << i) for i in range(n)]
 
-    # prefix load per mask, built from each mask's lowest set bit
-    load = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        load[mask] = load[mask ^ low] + lengths[low.bit_length() - 1]
+    # prefix load per mask: the masks holding task i follow those without it
+    load = [0]
+    for length in tasks.lengths:
+        load += [x + length for x in load]
 
     # best completion cost and number of optimal completions for every
     # prefix set, filled from the full set down
     h = [0] * (full + 1)
-    ways = [0] * (full + 1)
-    ways[full] = 1
+    ways = [0] * full + [1]
     for mask in range(full - 1, -1, -1):
-        start = load[mask]
+        c = charges(mask, load[mask])
         best = None
-        for i in range(n):
-            if mask & bit[i]:
+        for i, bit in bits:
+            if mask & bit:
                 continue
-            nxt = mask | bit[i]
-            cand = step(i, mask, start) + h[nxt]
+            nxt = mask | bit
+            cand = c[i] + h[nxt]
             if best is None or cand < best:
                 best, count = cand, ways[nxt]
             elif cand == best:
                 count += ways[nxt]
-        h[mask] = best
-        ways[mask] = count
+        h[mask], ways[mask] = best, count
 
     ids = tasks.ids
-    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, load, step))
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, load, charges))
     optima = tuple(islice(walk, options.optimum_cap)) if options.enumerate_all else None
     representative = optima[0] if optima is not None else next(walk)
 
@@ -195,7 +191,7 @@ def enumerate_optima(
     return report.optima, report.optima_complete
 
 
-def _optimal_orders(n, h, load, step):
+def _optimal_orders(n, h, load, charges):
     """Every optimal order of task indices, lexicographically least first.
 
     A depth-first walk over the transitions that keep the optimum, taking
@@ -211,9 +207,10 @@ def _optimal_orders(n, h, load, step):
         if mask == full:
             yield prefix
             continue
+        c = charges(mask, load[mask])
         # pushed largest first, so the smallest index is popped first
         stack.extend(
             (mask | 1 << i, prefix + (i,))
             for i in range(n - 1, -1, -1)
-            if not mask & 1 << i and step(i, mask, load[mask]) + h[mask | 1 << i] == h[mask]
+            if not mask & 1 << i and c[i] + h[mask | 1 << i] == h[mask]
         )

@@ -161,33 +161,47 @@ class TestDeltaSearchMatchesFullRescore:
             assert len(calls) == 1
 
 
+def tabulates_rows(tasks: TaskSet) -> bool:
+    """The row rule: whether ``_transitions(..., tabulate=True)`` reads the
+    deviation and tardiness charges from per-start rows or bisects the due
+    tables."""
+    n, total_load = tasks.n, tasks.total_load
+    return total_load < 2 ** (n - 1) and n * (total_load + 1) <= max(2**n, 2**16)
+
+
 @st.composite
 def row_rule_instances(draw, rows):
-    """An instance with ``n * total_load <= 2**n`` (``rows``) or above it.
-
-    That bound decides whether ``_transitions(..., tabulate=True)`` reads
-    the deviation and tardiness charges from per-start rows or bisects the
-    due tables.
-    """
+    """An instance on the rows side of the row rule (``rows``) or the bisect
+    side, with up to 8 tasks; a third of them tie-heavy, with equal lengths
+    (often unit) and one or two voters of multiplicity one."""
+    ties = draw(st.integers(0, 2)) == 0
     if rows:
-        n = draw(st.sampled_from([1, 2, 4, 5, 6, 7, 8]))  # at n = 3 even unit lengths exceed it
-        budget = 2**n // n
-        lengths: list[int] = []
-        for i in range(n):
-            lengths.append(draw(st.integers(1, budget - sum(lengths) - (n - 1 - i))))
+        n = draw(st.integers(3, 8))  # at n = 1 and 2 even unit lengths reach 2^(n-1)
+        budget = 2 ** (n - 1) - 1
+        if ties:
+            lengths = [draw(st.just(1) | st.integers(1, budget // n))] * n
+        else:
+            lengths = []
+            for i in range(n):
+                lengths.append(draw(st.integers(1, budget - sum(lengths) - (n - 1 - i))))
     else:
         n = draw(st.integers(1, 8))
-        lengths = draw(st.lists(st.integers(1, 12) | st.integers(13, 10**12), min_size=n, max_size=n))
-        assume(n * sum(lengths) > 2**n)
+        length = st.integers(1, 12) | st.integers(13, 10**12)
+        lengths = [draw(length)] * n if ties else draw(st.lists(length, min_size=n, max_size=n))
+        assume(sum(lengths) >= 2 ** (n - 1))
     tasks = TaskSet(tuple((f"t{i}", length) for i, length in enumerate(lengths)))
-    ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=6))
-    counts = draw(st.lists(multiplicities, min_size=len(ballots), max_size=len(ballots)))
+    if ties:
+        ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=2))
+        counts = [1] * len(ballots)
+    else:
+        ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=6))
+        counts = draw(st.lists(multiplicities, min_size=len(ballots), max_size=len(ballots)))
     return tasks, PreferenceProfile.of(tasks, *zip(ballots, counts))
 
 
 class TestTransitionsMatchKernels:
-    """``_transitions``' ``step`` and ``pair`` against the full-score kernels of
-    ``_evaluator``, tabulated or not, with and without the per-start rows."""
+    """``_transitions``' ``charges`` and ``pair`` against the full-score kernels
+    of ``_evaluator``, tabulated or not, with and without the per-start rows."""
 
     @pytest.mark.parametrize("rows", [True, False])
     @pytest.mark.parametrize("tabulate", [True, False])
@@ -195,14 +209,14 @@ class TestTransitionsMatchKernels:
     @given(data=st.data(), objective=st.sampled_from(list(Objective)))
     def test_steps_sum_to_the_score_and_pairs_give_each_swap(self, tabulate, rows, data, objective):
         tasks, profile = data.draw(row_rule_instances(rows))
-        assert (tasks.n * tasks.total_load <= 2**tasks.n) == rows
+        assert tabulates_rows(tasks) == rows
         compiled = _compile_profile(profile)
         evaluate = _evaluator(compiled, objective)
-        step, pair = _transitions(compiled, objective, tabulate)
+        charges, pair = _transitions(compiled, objective, tabulate)
         order = data.draw(st.permutations(range(tasks.n)))
         total = start = mask = 0
         for i in order:
-            total += step(i, mask, start)
+            total += charges(mask, start)[i]
             start += tasks.lengths[i]
             mask |= 1 << i
         assert total == evaluate(order)

@@ -174,6 +174,15 @@ class TestValidation:
         report = validate_profile(profile)
         assert any(d.code == "bad-multiplicity" for d in report.defects)
 
+    @pytest.mark.parametrize("mult", [2.7, 2.0, "3", True, None])
+    def test_of_keeps_a_bad_multiplicity_for_the_check(self, mult):
+        # coercing with int() turned 2.7 into 2, "3" into 3 and True into 1
+        tasks = TaskSet.of(("a", 1), ("b", 2))
+        profile = PreferenceProfile.of(tasks, (("a", "b"), 1), (("b", "a"), mult))
+        assert profile.groups[1][1] is mult
+        report = validate_profile(profile)
+        assert [(d.group, d.code) for d in report.defects] == [(1, "bad-multiplicity")]
+
     def test_unknown_task(self):
         tasks = TaskSet.of(("a", 1))
         profile = PreferenceProfile(tasks, ((Schedule.of("z"), 1),))

@@ -23,7 +23,7 @@ from collective_schedules import (
     local_search,
     solve_exact,
 )
-from test_delta_search import reference_local_search
+from test_delta_search import reference_local_search, row_rule_instances, tabulates_rows
 
 MODELS = ("uniform", "plackett-luce")
 
@@ -354,3 +354,26 @@ class TestExactSolveMatchesOracle:
         assert local_search(start, profile, objective, max_steps) == reference_local_search(
             start, profile, objective, max_steps
         )
+
+
+class TestExactSolveMatchesOracleAcrossRowRule:
+    """The deviation and tardiness fill reads per-start rows on one side of
+    the row rule and bisects on the other; both must match the oracle."""
+
+    @pytest.mark.parametrize("rows", [True, False])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_score_count_representative_and_capped_optima(self, rows, data, objective):
+        tasks, profile = data.draw(row_rule_instances(rows))
+        assert tabulates_rows(tasks) == rows
+        oracle = brute_force_oracle(tasks, profile, objective)
+        count = oracle.optimum_count
+        report = solve_exact(tasks, profile, objective)
+        assert (report.optimal_score, report.optimum_count, report.schedule) == (
+            oracle.optimal_score,
+            count,
+            oracle.schedule,
+        )
+        assert report.states_explored == 2**tasks.n
+        cap = data.draw(st.integers(1, count + 1), label="cap")
+        assert enumerate_optima(tasks, profile, objective, cap) == (oracle.optima[:cap], count <= cap)
