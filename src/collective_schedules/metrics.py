@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .model import (
     Objective,
@@ -175,24 +175,31 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
     ``charges(mask, start)`` gives ``c``, where ``c[i]`` is the charge for
     running task ``i`` from time ``start`` once the tasks in the bitmask
     ``mask`` (``i`` not among them) have run; an order's score is the sum
-    of its charges.  ``pair(a, b, start)`` holds the terms that change when
-    adjacent ``a`` then ``b``, starting at ``start``, swap places: the swap
-    changes the score by ``pair(b, a, start) - pair(a, b, start)``.
+    of its charges.  ``c`` is one :class:`_OnRead`, rebound by each call,
+    so it is read before the next: in O(n) per charge for the pairwise
+    objective, and for deviation and tardiness, which depend only on the
+    finish time, by bisecting the due tables in O(log groups).
+    ``pair(a, b, start)`` holds the terms that change when adjacent ``a``
+    then ``b``, starting at ``start``, swap places: the swap changes the
+    score by ``pair(b, a, start) - pair(a, b, start)``.
 
     The exact solver, which reads n 2^(n-1) charges, passes ``tabulate``
-    for lists: the pairwise ``c`` adds two rows of length-scaled subset
-    sums, one per half of the mask (2 n 2^(n/2) entries), and the deviation
-    and tardiness ``c`` is the row of charges at ``start``, built when that
-    start is first reached.  Those rows are built only while the total load
-    is below 2^(n-1), so they cost no more charges than they replace, and
-    hold at most max(2^n, 2^16) entries.  Otherwise ``c`` is one
-    :class:`_OnRead`, rebound by each call, so it is read before the next:
-    in O(n) per charge for the pairwise objective, and for deviation and
-    tardiness, which depend only on the finish time, by bisecting the due
-    tables in O(log groups).
+    for tables instead: ``(rows, low_key, high_key, high)``, such that for
+    ``mask = mh << n // 2 | ml`` task ``i``'s charge is
+    ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``.  Pairwise: the
+    keys pick ``rows[ml]``, every charge once the low-half tasks in ``ml``
+    have run, and ``high[mh]`` is what the high-half tasks in ``mh`` take
+    off it (2 n 2^(n/2) entries, already scaled by length).
+    Deviation and tardiness: the keys are the half masks' loads, ``rows``
+    maps each distinct start (a subset load below the total) to its row of
+    n charges, and ``high`` is one shared zero row.  Rows are built only
+    while there are at most 2^(n-1) distinct subset loads, so they cost no
+    more charges than they replace, and n times those at most
+    max(2^n, 2^16); otherwise ``rows[start]`` is the bisecting ``c``.
     """
     lengths = compiled.lengths
     n = len(lengths)
+    half = n // 2
     if objective is Objective.PTA_KENDALL_TAU:
         # running i ahead of a waiting j costs lengths[i] per voter wanting j
         # first, so the charge is lengths[i] times column i summed over the
@@ -206,14 +213,13 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
             return lengths[a] * counts[b][a]
 
         if tabulate:
-            # lo[m]: the charges once the low-half tasks in m have run; hi[m]: what the high-half ones add
+            # rows[m]: the charges once the low-half tasks in m have run; high[m]: what the high-half ones add
             waiting = [list(map(mul, lengths, row)) for row in counts]
-            half, low_bits = n // 2, (1 << n // 2) - 1
-            lo, hi = [[sum(col) for col in zip(*waiting)]], [[0] * n]
-            for sums, vectors in ((lo, waiting[:half]), (hi, waiting[half:])):
+            rows, high = [[sum(col) for col in zip(*waiting)]], [[0] * n]
+            for sums, vectors in ((rows, waiting[:half]), (high, waiting[half:])):
                 for vector in vectors:  # the masks with this bit set follow those without
                     sums += [list(map(sub, s, vector)) for s in sums]
-            return lambda mask, start: list(map(add, lo[mask & low_bits], hi[mask >> half])), pair
+            return rows, range(len(rows)), [0] * len(high), high
     else:
         # deviation or tardiness of task i finishing at start + lengths[i]
         tardy_only = objective is Objective.SUM_TARDINESS
@@ -231,17 +237,23 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
         def pair(a: int, b: int, start: int) -> int:
             return charge(a, 0, start) + charge(b, 0, start + lengths[a])
 
-        total_load = sum(lengths)
-        if tabulate and total_load < 1 << (n - 1) and n * (total_load + 1) <= max(1 << n, 1 << 16):
-            rows = [None] * (total_load + 1)
-
-            def charges(mask: int, start: int) -> list[int]:
-                row = rows[start]
-                if row is None:
-                    row = rows[start] = [charge(i, 0, start) for i in range(n)]
-                return row
-
-            return charges, pair
+        if tabulate:
+            # the loads of the half masks: the masks with a bit set follow those without
+            low_key, high_key = keys = [0], [0]
+            for k, length in enumerate(lengths):
+                keys[k >= half].extend([x + length for x in keys[k >= half]])
+            # rows over the distinct subset loads (n + 1 or more: past break-even at n <= 2) unless
+            # past break-even or the memory cap; none at the full set's load, where no task waits
+            rows = _RowsOnRead(_OnRead(charge))
+            if n > 2:
+                starts, limit = {0}, min(1 << (n - 1), max(1 << n, 1 << 16) // n)
+                for length in lengths:
+                    starts |= {x + length for x in starts}
+                    if len(starts) > limit:
+                        break
+                else:
+                    rows = {start: [charge(i, 0, start) for i in range(n)] for start in starts - {sum(lengths)}}
+            return rows, low_key, high_key, [[0] * n] * len(high_key)
     return _OnRead(charge).at, pair
 
 
@@ -259,6 +271,18 @@ class _OnRead:
 
     def __getitem__(self, i: int) -> int:
         return self.charge(i, self.mask, self.start)
+
+
+class _RowsOnRead:
+    """``rows[start]``: one :class:`_OnRead` rebound to ``start``, in place of the per-load rows."""
+
+    __slots__ = ("reader",)
+
+    def __init__(self, reader: _OnRead) -> None:
+        self.reader = reader
+
+    def __getitem__(self, start: int) -> _OnRead:
+        return self.reader.at(0, start)
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:

@@ -9,9 +9,10 @@ Two independent routes to the optimum:
   Appending one task to a fixed prefix changes each objective by an amount
   that depends only on the prefix load (for deviation and tardiness) or on
   the set of tasks already scheduled (for the pairwise objective), so
-  optimal completions of every subset can be combined bottom-up.  One call
-  per subset gives the charges of all its transitions, each then read in
-  O(1) (see ``metrics._transitions``), so a fill costs O(n 2^n).
+  optimal completions of every subset can be combined bottom-up.  Each
+  transition's charge is read in O(1) from tables indexed by the two
+  halves of the subset's bitmask (see ``metrics._transitions``), and the
+  fill visits only the waiting tasks, so it costs O(n 2^n).
 
 Both report the same exact integer optimum; ties are always broken toward
 the schedule whose sequence of declared task indices is lexicographically
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, permutations
 from math import factorial
 
@@ -52,6 +54,9 @@ class SolveOptions:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+
+
+_DEFAULT_OPTIONS = SolveOptions()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,47 +125,47 @@ def solve_exact(
     State: the set of tasks already scheduled (as a bitmask over declared
     indices).  Value: the best achievable cost of scheduling the remaining
     tasks.  Memory and time grow as 2^n, hence the ``max_tasks`` guard.
-    ``wall_time_s`` covers the whole call, including the compile when
-    ``profile`` is not the kept one and any due table or pair count that no
-    earlier call on it built.
+    The fill loops over the high half of the mask, then the low half.  For
+    each subset it visits only the waiting tasks, joined from two
+    per-half-mask lists (:func:`_waiting`), and reads each charge from the
+    tables of ``metrics._transitions``.  ``wall_time_s`` covers the whole
+    call, including the compile when ``profile`` is not the kept one and
+    any due table or pair count that no earlier call on it built.
     """
     started = time.perf_counter()
     objective = Objective(objective)
-    options = options or SolveOptions()
+    options = options or _DEFAULT_OPTIONS
     n = tasks.n
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    charges, _ = _transitions(_compile_profile(profile), objective, tabulate=True)
-
-    full = (1 << n) - 1
-    bits = [(i, 1 << i) for i in range(n)]
-
-    # prefix load per mask: the masks holding task i follow those without it
-    load = [0]
-    for length in tasks.lengths:
-        load += [x + length for x in load]
+    rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), objective, tabulate=True)
 
     # best completion cost and number of optimal completions for every
-    # prefix set, filled from the full set down
-    h = [0] * (full + 1)
-    ways = [0] * full + [1]
-    for mask in range(full - 1, -1, -1):
-        c = charges(mask, load[mask])
-        best = None
-        for i, bit in bits:
-            if mask & bit:
-                continue
-            nxt = mask | bit
-            cand = c[i] + h[nxt]
-            if best is None or cand < best:
-                best, count = cand, ways[nxt]
-            elif cand == best:
-                count += ways[nxt]
-        h[mask], ways[mask] = best, count
+    # prefix set, filled from the full set down: mask = mh << half | ml; the
+    # full set's h = 0, ways = 1 are the only entries read before written
+    half = n // 2
+    low_waiting, high_waiting = _waiting(0, half), _waiting(half, n)
+    full, low_full = (1 << n) - 1, (1 << half) - 1
+    h, ways = [0] * (full + 1), [1] * (full + 1)
+    for mh in range(len(high_waiting) - 1, -1, -1):
+        base, key, extra, waiting_high = mh << half, high_key[mh], high[mh], high_waiting[mh]
+        # the full set, met first, has no waiting task
+        for ml in range(low_full - (base | low_full == full), -1, -1):
+            mask = base | ml
+            row = rows[low_key[ml] + key]
+            best = None
+            for i, bit in low_waiting[ml] + waiting_high:
+                nxt = mask | bit
+                cand = row[i] + extra[i] + h[nxt]
+                if best is None or cand < best:
+                    best, count = cand, ways[nxt]
+                elif cand == best:
+                    count += ways[nxt]
+            h[mask], ways[mask] = best, count
 
     ids = tasks.ids
-    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, load, charges))
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, tables))
     optima = tuple(islice(walk, options.optimum_cap)) if options.enumerate_all else None
     representative = optima[0] if optima is not None else next(walk)
 
@@ -191,7 +196,16 @@ def enumerate_optima(
     return report.optima, report.optima_complete
 
 
-def _optimal_orders(n, h, load, charges):
+@cache
+def _waiting(first: int, stop: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per mask ``m`` over tasks ``first..stop-1`` (bit ``i - first`` for task ``i``): the
+    ``(i, 1 << i)`` pairs of the tasks not in ``m``, by ascending ``i``.  Kept across
+    solves: a few thousand short tuples in all for every half of up to 20 tasks."""
+    pairs = [(i, 1 << i) for i in range(first, stop)]
+    return tuple(tuple(p for k, p in enumerate(pairs) if not m >> k & 1) for m in range(1 << (stop - first)))
+
+
+def _optimal_orders(n, h, tables):
     """Every optimal order of task indices, lexicographically least first.
 
     A depth-first walk over the transitions that keep the optimum, taking
@@ -200,17 +214,19 @@ def _optimal_orders(n, h, load, charges):
     reference cycle with its closure and keep the 2^n tables alive until
     the cyclic collector ran.
     """
-    full = (1 << n) - 1
+    rows, low_key, high_key, high = tables
+    full, half = (1 << n) - 1, n // 2
     stack = [(0, ())]
     while stack:
         mask, prefix = stack.pop()
         if mask == full:
             yield prefix
             continue
-        c = charges(mask, load[mask])
+        ml, mh = mask & (1 << half) - 1, mask >> half
+        row, extra = rows[low_key[ml] + high_key[mh]], high[mh]
         # pushed largest first, so the smallest index is popped first
         stack.extend(
             (mask | 1 << i, prefix + (i,))
             for i in range(n - 1, -1, -1)
-            if not mask & 1 << i and c[i] + h[mask | 1 << i] == h[mask]
+            if not mask & 1 << i and row[i] + extra[i] + h[mask | 1 << i] == h[mask]
         )

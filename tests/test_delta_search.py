@@ -163,33 +163,43 @@ class TestDeltaSearchMatchesFullRescore:
 
 def tabulates_rows(tasks: TaskSet) -> bool:
     """The row rule: whether ``_transitions(..., tabulate=True)`` reads the
-    deviation and tardiness charges from per-start rows or bisects the due
-    tables."""
-    n, total_load = tasks.n, tasks.total_load
-    return total_load < 2 ** (n - 1) and n * (total_load + 1) <= max(2**n, 2**16)
+    deviation and tardiness charges from rows over the distinct subset
+    loads or bisects the due tables."""
+    n, loads = tasks.n, {0}
+    for length in tasks.lengths:
+        loads |= {x + length for x in loads}
+    return len(loads) <= 2 ** (n - 1) and n * len(loads) <= max(2**n, 2**16)
 
 
 @st.composite
 def row_rule_instances(draw, rows):
     """An instance on the rows side of the row rule (``rows``) or the bisect
-    side, with up to 8 tasks; a third of them tie-heavy, with equal lengths
-    (often unit) and one or two voters of multiplicity one."""
+    side, with up to 8 tasks; a third of them tie-heavy, with one or two
+    voters of multiplicity one and, where the side allows, equal (often
+    unit) lengths.  Rows with long tasks come from few distinct loads:
+    equal lengths, or short lengths scaled up."""
     ties = draw(st.integers(0, 2)) == 0
     if rows:
-        n = draw(st.integers(3, 8))  # at n = 1 and 2 even unit lengths reach 2^(n-1)
-        budget = 2 ** (n - 1) - 1
-        if ties:
-            lengths = [draw(st.just(1) | st.integers(1, budget // n))] * n
-        else:
+        n = draw(st.integers(3, 8))  # at n = 1 and 2 there are always more than 2^(n-1) distinct loads
+        if ties:  # n + 1 distinct loads
+            lengths = [draw(st.just(1) | st.integers(1, 10**12))] * n
+        else:  # a total load below 2^(n-1) bounds the distinct loads, whatever the scale
+            budget = 2 ** (n - 1) - 1
             lengths = []
             for i in range(n):
                 lengths.append(draw(st.integers(1, budget - sum(lengths) - (n - 1 - i))))
+            scale = draw(st.just(1) | st.integers(2, 10**9))
+            lengths = [scale * length for length in lengths]
     else:
         n = draw(st.integers(1, 8))
         length = st.integers(1, 12) | st.integers(13, 10**12)
-        lengths = [draw(length)] * n if ties else draw(st.lists(length, min_size=n, max_size=n))
-        assume(sum(lengths) >= 2 ** (n - 1))
+        # equal lengths give n + 1 distinct loads, more than 2^(n-1) only at n <= 2
+        if ties and n <= 2:
+            lengths = [draw(length)] * n
+        else:
+            lengths = draw(st.lists(length, min_size=n, max_size=n))
     tasks = TaskSet(tuple((f"t{i}", length) for i, length in enumerate(lengths)))
+    assume(tabulates_rows(tasks) == rows)
     if ties:
         ballots = draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=2))
         counts = [1] * len(ballots)
@@ -200,8 +210,9 @@ def row_rule_instances(draw, rows):
 
 
 class TestTransitionsMatchKernels:
-    """``_transitions``' ``charges`` and ``pair`` against the full-score kernels
-    of ``_evaluator``, tabulated or not, with and without the per-start rows."""
+    """``_transitions``' tables, and its untabulated ``charges`` and ``pair``,
+    against the full-score kernels of ``_evaluator``, with and without the
+    rows over distinct loads."""
 
     @pytest.mark.parametrize("rows", [True, False])
     @pytest.mark.parametrize("tabulate", [True, False])
@@ -212,14 +223,30 @@ class TestTransitionsMatchKernels:
         assert tabulates_rows(tasks) == rows
         compiled = _compile_profile(profile)
         evaluate = _evaluator(compiled, objective)
-        charges, pair = _transitions(compiled, objective, tabulate)
         order = data.draw(st.permutations(range(tasks.n)))
+        if tabulate:
+            table_rows, low_key, high_key, high = _transitions(compiled, objective, tabulate)
+            half = tasks.n // 2
+            if objective is not Objective.PTA_KENDALL_TAU:
+                assert isinstance(table_rows, dict) == rows
+
+            def charge(i, mask, start):
+                ml, mh = mask & (1 << half) - 1, mask >> half
+                return table_rows[low_key[ml] + high_key[mh]][i] + high[mh][i]
+        else:
+            charges, pair = _transitions(compiled, objective, tabulate)
+
+            def charge(i, mask, start):
+                return charges(mask, start)[i]
+
         total = start = mask = 0
         for i in order:
-            total += charges(mask, start)[i]
+            total += charge(i, mask, start)
             start += tasks.lengths[i]
             mask |= 1 << i
         assert total == evaluate(order)
+        if tabulate:
+            return
         start = 0
         for pos in range(tasks.n - 1):
             a, b = order[pos], order[pos + 1]

@@ -21,6 +21,7 @@ from collective_schedules import (
     enumerate_optima,
     generate,
     local_search,
+    score,
     solve_exact,
 )
 from test_delta_search import reference_local_search, row_rule_instances, tabulates_rows
@@ -377,3 +378,45 @@ class TestExactSolveMatchesOracleAcrossRowRule:
         assert report.states_explored == 2**tasks.n
         cap = data.draw(st.integers(1, count + 1), label="cap")
         assert enumerate_optima(tasks, profile, objective, cap) == (oracle.optima[:cap], count <= cap)
+
+
+class TestTablesNeverSizedByLoad:
+    """A table indexed by load value would need as many entries as the
+    largest load (up to 3 * 10^12 here): the solves below would fail with
+    ``MemoryError`` or exhaust the machine.  Three equal lengths take the
+    rows over distinct loads; the others, and n = 12, bisect."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            (10**12,),
+            (10**12 - 7, 10**12 + 3),
+            (10**12, 10**12),
+            (999_999_999_989, 10**12, 10**12 + 11),
+            (10**12, 10**12, 10**12),
+            (1_057_960_822,) * 3,
+        ],
+    )
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_long_tasks_at_one_to_three_tasks(self, lengths, objective):
+        tasks = TaskSet(tuple((f"t{i}", length) for i, length in enumerate(lengths)))
+        ballots = list(itertools.permutations(tasks.ids))
+        profile = PreferenceProfile.of(tasks, *((order, k + 1) for k, order in enumerate(ballots)))
+        oracle = brute_force_oracle(tasks, profile, objective)
+        report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True))
+        assert (report.optimal_score, report.optimum_count, report.optima) == (
+            oracle.optimal_score,
+            oracle.optimum_count,
+            oracle.optima,
+        )
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_twelve_tasks_past_break_even(self, objective):
+        tasks, profile = generate(GenSpec(12, 20, "uniform", (1, 1000), 0))
+        assert not tabulates_rows(tasks)
+        report = solve_exact(tasks, profile, objective)
+        assert report.states_explored == 2**12
+        assert report.optimal_score == score(report.schedule, profile, objective)
+        # an optimum is a local optimum: no adjacent swap improves it
+        _, trace = local_search(report.schedule, profile, objective)
+        assert trace.steps == () and trace.final_score == report.optimal_score
