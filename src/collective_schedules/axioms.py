@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidReductionError, MismatchedTaskSetError
-from .metrics import _compile_profile, score
+from .metrics import _compile_profile, _evaluator
 from .model import (
     Objective,
     PreferenceProfile,
@@ -200,16 +200,21 @@ def reinforcement_check(
         raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
     if part_a.tasks != part_b.tasks:
         raise MismatchedTaskSetError("both profiles must range over the same task set")
+    objective = Objective(objective)
     tasks = part_a.tasks
     union = PreferenceProfile(tasks, part_a.groups + part_b.groups)
+    # one evaluator per profile: scoring the three in turn through the one kept
+    # compiled profile would validate and compile each again for every sample
+    evaluate_a, evaluate_b, evaluate_union = (
+        _evaluator(_compile_profile(p), objective) for p in (part_a, part_b, union)
+    )
 
     rng = np.random.default_rng(seed)
-    ids = tasks.ids
     for _ in range(samples):
-        order = tuple(ids[i] for i in rng.permutation(tasks.n))
-        s = Schedule(order)
-        parts = score(s, part_a, objective) + score(s, part_b, objective)
-        if parts != score(s, union, objective):
+        order = rng.permutation(tasks.n).tolist()
+        parts = evaluate_a(order) + evaluate_b(order)
+        if parts != evaluate_union(order):
+            s = Schedule(tuple(tasks.ids[i] for i in order))
             return AxiomVerdict("reinforcement", False, {"schedule": s, "split_score": parts})
 
     optima_a, complete_a = enumerate_optima(tasks, part_a, objective, cap)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .metrics import CompiledProfile, _compile_profile, _transitions
+from .metrics import CompiledProfile, _compile_profile, _evaluator, _swap_terms
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, _require_same_tasks
 
 
@@ -72,7 +72,7 @@ def local_search(
 
     The profile is compiled at most once.  A swap only moves the two swapped
     tasks, so it is scored by its change in score, read from the
-    objective's untabulated transition charges: O(1) for the pairwise
+    objective's swap terms (``metrics._swap_terms``): O(1) for the pairwise
     objective and O(log groups) for deviation and tardiness, after an
     O(groups n^2) setup at most, whatever the number of tasks.
     """
@@ -88,14 +88,8 @@ def local_search(
         raise ValueError("max_steps must be nonnegative")
 
     lengths = tasks.lengths
-    charges, pair = _transitions(compiled, objective)
-    current_score = start = mask = 0
-    for i in order:
-        current_score += charges(mask, start)[i]
-        start += lengths[i]
-        mask |= 1 << i
-
-    start_score = current_score
+    pair = _swap_terms(compiled, objective)
+    start_score = current_score = _evaluator(compiled, objective)(order)
     steps: list[LocalSearchStep] = []
     terminated_by = "local-optimum"
     while True:

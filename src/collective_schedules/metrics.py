@@ -10,20 +10,23 @@ Three profile metrics drive the aggregation rules:
   pair the candidate schedule places as (a before b) against a voter who
   wanted b first costs the length of a, the task that was moved ahead.
 
-All scores are exact Python integers.  The pairwise order counts are built
-once per profile (O(v n^2)) so that evaluating one more candidate schedule
-costs O(n^2) rather than another scan over the voters.  Scoring, solving,
-heuristic and audit entry points read a :class:`CompiledProfile`, the same
-ballots in task-index space, which builds its pair counts and due tables
-once for every rule run on it.  One compiled form is kept, for the profile
-most recently compiled: every entry point called on that same profile
-object reads it without validating or compiling again, and the next
-profile replaces it.
+All scores are exact Python integers.  Scoring, solving, heuristic and
+audit entry points read a :class:`CompiledProfile`, the same ballots in
+task-index space, which builds its pairwise order counts and per-task due
+tables once for every rule run on it: scoring one more candidate then
+costs O(n^2) for the pairwise objective and O(n log groups) for the
+others, not another scan over the voters.  One compiled form is kept, for
+the profile most recently compiled: every entry point called on that same
+profile object reads it without validating or compiling again, and the
+next profile replaces it.
 
-Only this module knows each objective: its full-score kernels score a whole
-order from the ballots (:func:`_evaluator`, for scoring and the brute-force
-oracle), and its transition costs charge one more task (:func:`_transitions`),
-which the exact solver and the local search read.
+Only this module knows each objective, and it computes each cost one way.
+Deviation and tardiness charge each task by its finish time alone
+(:func:`_finish_charge`); the pairwise objective charges each inverted pair
+from the pair counts.  Every reader derives from that: the full score of an
+order (:func:`_evaluator`, for scoring, the brute-force oracle and the local
+search's start), the exact solver's tables (:func:`_transitions`) and the
+local search's swap terms (:func:`_swap_terms`).
 
 The classical distances between two orders are the unit-length cases
 against a single voter: Kendall tau is ``pta_kendall_tau`` and Spearman's
@@ -169,33 +172,41 @@ def _due_prefix_tables(compiled: CompiledProfile):
     return tables
 
 
-def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool = False):
-    """``(charges, pair)``: the objective's cost split into per-task charges.
+def _finish_charge(compiled: CompiledProfile, objective: Objective):
+    """``charge(i, start)``: deviation or tardiness over all voters of task ``i`` run
+    from ``start``, by bisecting its due table in O(log groups)."""
+    lengths = compiled.lengths
+    table = compiled.due_tables
+    tardy_only = objective is Objective.SUM_TARDINESS
 
-    ``charges(mask, start)`` gives ``c``, where ``c[i]`` is the charge for
-    running task ``i`` from time ``start`` once the tasks in the bitmask
-    ``mask`` (``i`` not among them) have run; an order's score is the sum
-    of its charges.  ``c`` is one :class:`_OnRead`, rebound by each call,
-    so it is read before the next: in O(n) per charge for the pairwise
-    objective, and for deviation and tardiness, which depend only on the
-    finish time, by bisecting the due tables in O(log groups).
-    ``pair(a, b, start)`` holds the terms that change when adjacent ``a``
-    then ``b``, starting at ``start``, swap places: the swap changes the
-    score by ``pair(b, a, start) - pair(a, b, start)``.
+    def charge(i: int, start: int) -> int:
+        dues, cum_mult, cum_due, total_mult, total_due = table[i]
+        finish = start + lengths[i]
+        r = bisect_right(dues, finish)
+        late = finish * cum_mult[r] - cum_due[r]
+        if tardy_only:
+            return late
+        return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
 
-    The exact solver, which reads n 2^(n-1) charges, passes ``tabulate``
-    for tables instead: ``(rows, low_key, high_key, high)``, such that for
-    ``mask = mh << n // 2 | ml`` task ``i``'s charge is
-    ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``.  Pairwise: the
-    keys pick ``rows[ml]``, every charge once the low-half tasks in ``ml``
-    have run, and ``high[mh]`` is what the high-half tasks in ``mh`` take
-    off it (2 n 2^(n/2) entries, already scaled by length).
-    Deviation and tardiness: the keys are the half masks' loads, ``rows``
-    maps each distinct start (a subset load below the total) to its row of
-    n charges, and ``high`` is one shared zero row.  Rows are built only
-    while there are at most 2^(n-1) distinct subset loads, so they cost no
-    more charges than they replace, and n times those at most
-    max(2^n, 2^16); otherwise ``rows[start]`` is the bisecting ``c``.
+    return charge
+
+
+def _transitions(compiled: CompiledProfile, objective: Objective):
+    """The exact solver's tables ``(rows, low_key, high_key, high)`` of per-task charges.
+
+    For ``mask = mh << n // 2 | ml``, the charge for running task ``i``
+    once the tasks in ``mask`` (``i`` not among them) have run is
+    ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``; an order's
+    score is the sum of its charges.  Pairwise: the keys pick ``rows[ml]``,
+    every charge once the low-half tasks in ``ml`` have run, and
+    ``high[mh]`` is what the high-half tasks in ``mh`` take off it
+    (2 n 2^(n/2) entries, already scaled by length).  Deviation and
+    tardiness: the keys are the half masks' loads, ``rows`` maps each
+    distinct start (a subset load below the total) to its row of
+    :func:`_finish_charge`, and ``high`` is one shared zero row.  Rows are
+    built only while there are at most 2^(n-1) distinct subset loads, so
+    they cost no more charges than they replace, and n times those at most
+    max(2^n, 2^16); otherwise ``rows[start]`` bisects on read.
     """
     lengths = compiled.lengths
     n = len(lengths)
@@ -203,86 +214,67 @@ def _transitions(compiled: CompiledProfile, objective: Objective, tabulate: bool
     if objective is Objective.PTA_KENDALL_TAU:
         # running i ahead of a waiting j costs lengths[i] per voter wanting j
         # first, so the charge is lengths[i] times column i summed over the
-        # tasks not in the mask
+        # waiting tasks; rows[m]: the charges once the low-half tasks in m
+        # have run, high[m]: what the high-half ones take off
+        waiting = [list(map(mul, lengths, row)) for row in compiled.pair_counts]
+        rows, high = [[sum(col) for col in zip(*waiting)]], [[0] * n]
+        for sums, vectors in ((rows, waiting[:half]), (high, waiting[half:])):
+            for vector in vectors:  # the masks with this bit set follow those without
+                sums += [list(map(sub, s, vector)) for s in sums]
+        return rows, range(len(rows)), [0] * len(high), high
+    charge = _finish_charge(compiled, objective)
+    # the loads of the half masks: the masks with a bit set follow those without
+    low_key, high_key = keys = [0], [0]
+    for k, length in enumerate(lengths):
+        keys[k >= half].extend([x + length for x in keys[k >= half]])
+    # rows over the distinct subset loads (n + 1 or more: past break-even at n <= 2) unless
+    # past break-even or the memory cap; none at the full set's load, where no task waits
+    rows = _RowsOnRead(charge)
+    if n > 2:
+        starts, limit = {0}, min(1 << (n - 1), max(1 << n, 1 << 16) // n)
+        for length in lengths:
+            starts |= {x + length for x in starts}
+            if len(starts) > limit:
+                break
+        else:
+            rows = {start: [charge(i, start) for i in range(n)] for start in starts - {sum(lengths)}}
+    return rows, low_key, high_key, [[0] * n] * len(high_key)
+
+
+def _swap_terms(compiled: CompiledProfile, objective: Objective):
+    """``pair(a, b, start)``: the terms that change when adjacent ``a`` then ``b``, from
+    ``start``, swap; the swap changes the score by ``pair(b, a, start) - pair(a, b, start)``."""
+    lengths = compiled.lengths
+    if objective is Objective.PTA_KENDALL_TAU:
         counts = compiled.pair_counts
-
-        def charge(i: int, mask: int, start: int) -> int:
-            return lengths[i] * sum(row[i] for j, row in enumerate(counts) if not mask >> j & 1)
-
-        def pair(a: int, b: int, start: int) -> int:
-            return lengths[a] * counts[b][a]
-
-        if tabulate:
-            # rows[m]: the charges once the low-half tasks in m have run; high[m]: what the high-half ones add
-            waiting = [list(map(mul, lengths, row)) for row in counts]
-            rows, high = [[sum(col) for col in zip(*waiting)]], [[0] * n]
-            for sums, vectors in ((rows, waiting[:half]), (high, waiting[half:])):
-                for vector in vectors:  # the masks with this bit set follow those without
-                    sums += [list(map(sub, s, vector)) for s in sums]
-            return rows, range(len(rows)), [0] * len(high), high
-    else:
-        # deviation or tardiness of task i finishing at start + lengths[i]
-        tardy_only = objective is Objective.SUM_TARDINESS
-        table = compiled.due_tables
-
-        def charge(i: int, mask: int, start: int) -> int:
-            dues, cum_mult, cum_due, total_mult, total_due = table[i]
-            finish = start + lengths[i]
-            r = bisect_right(dues, finish)
-            late = finish * cum_mult[r] - cum_due[r]
-            if tardy_only:
-                return late
-            return late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r])
-
-        def pair(a: int, b: int, start: int) -> int:
-            return charge(a, 0, start) + charge(b, 0, start + lengths[a])
-
-        if tabulate:
-            # the loads of the half masks: the masks with a bit set follow those without
-            low_key, high_key = keys = [0], [0]
-            for k, length in enumerate(lengths):
-                keys[k >= half].extend([x + length for x in keys[k >= half]])
-            # rows over the distinct subset loads (n + 1 or more: past break-even at n <= 2) unless
-            # past break-even or the memory cap; none at the full set's load, where no task waits
-            rows = _RowsOnRead(_OnRead(charge))
-            if n > 2:
-                starts, limit = {0}, min(1 << (n - 1), max(1 << n, 1 << 16) // n)
-                for length in lengths:
-                    starts |= {x + length for x in starts}
-                    if len(starts) > limit:
-                        break
-                else:
-                    rows = {start: [charge(i, 0, start) for i in range(n)] for start in starts - {sum(lengths)}}
-            return rows, low_key, high_key, [[0] * n] * len(high_key)
-    return _OnRead(charge).at, pair
+        return lambda a, b, start: lengths[a] * counts[b][a]
+    charge = _finish_charge(compiled, objective)
+    return lambda a, b, start: charge(a, start) + charge(b, start + lengths[a])
 
 
 class _OnRead:
-    """``c[i]``: ``charge(i, mask, start)`` for the latest :meth:`at`, rebound: one per mask costs more than its reads."""
+    """``c[i]``: ``charge(i, start)`` for the latest ``start`` bound by :class:`_RowsOnRead`."""
 
-    __slots__ = ("charge", "mask", "start")
+    __slots__ = ("charge", "start")
 
     def __init__(self, charge) -> None:
         self.charge = charge
 
-    def at(self, mask: int, start: int) -> _OnRead:
-        self.mask, self.start = mask, start
-        return self
-
     def __getitem__(self, i: int) -> int:
-        return self.charge(i, self.mask, self.start)
+        return self.charge(i, self.start)
 
 
 class _RowsOnRead:
-    """``rows[start]``: one :class:`_OnRead` rebound to ``start``, in place of the per-load rows."""
+    """``rows[start]``: one :class:`_OnRead` rebound to ``start``: one per mask costs more than its reads."""
 
     __slots__ = ("reader",)
 
-    def __init__(self, reader: _OnRead) -> None:
-        self.reader = reader
+    def __init__(self, charge) -> None:
+        self.reader = _OnRead(charge)
 
     def __getitem__(self, start: int) -> _OnRead:
-        return self.reader.at(0, start)
+        self.reader.start = start
+        return self.reader
 
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
@@ -301,47 +293,28 @@ def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
 
 
 def _evaluator(compiled: CompiledProfile, objective: Objective):
-    """``evaluate(order)``: an index order's full score from the per-voter kernels."""
+    """``evaluate(order)``: an index order's full score, :func:`_finish_charge` summed along it in
+    O(n log groups), or pairwise, each task's length times the voters wanting a later one first."""
     lengths = compiled.lengths
     if objective is Objective.PTA_KENDALL_TAU:
         counts = compiled.pair_counts
-        return lambda order: _pta_kernel(order, lengths, counts)
-    kernel = _deviation_kernel if objective is Objective.SUM_DEVIATION else _tardiness_kernel
-    dues, mults = compiled.dues, compiled.mults
-    return lambda order: kernel(_completions_by_index(order, lengths), dues, mults)
 
+        def evaluate(order) -> int:
+            total = 0
+            for r, earlier in enumerate(order):
+                weight = lengths[earlier]
+                for later in order[r + 1 :]:
+                    total += weight * counts[later][earlier]
+            return total
 
-def _deviation_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
-    total = 0
-    for due, mult in zip(dues, mults):
-        total += mult * sum(abs(c - d) for c, d in zip(comp, due))
-    return total
+        return evaluate
+    charge = _finish_charge(compiled, objective)
 
+    def evaluate(order) -> int:
+        total = start = 0
+        for i in order:
+            total += charge(i, start)
+            start += lengths[i]
+        return total
 
-def _tardiness_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
-    total = 0
-    for due, mult in zip(dues, mults):
-        group = 0
-        for c, d in zip(comp, due):
-            if c > d:
-                group += c - d
-        total += mult * group
-    return total
-
-
-def _pta_kernel(
-    order: list[int] | tuple[int, ...],
-    lengths: tuple[int, ...],
-    counts: tuple[tuple[int, ...], ...],
-) -> int:
-    # cost of running `earlier` before `later`: lengths[earlier] per voter
-    # who wanted the opposite order
-    total = 0
-    n = len(order)
-    for r in range(n):
-        earlier = order[r]
-        weight = lengths[earlier]
-        for c in range(r + 1, n):
-            total += weight * counts[order[c]][earlier]
-    return total
-
+    return evaluate

@@ -1,10 +1,12 @@
 """Exact minimization of the three scheduling objectives.
 
-Two independent routes to the optimum:
+Two routes to the optimum:
 
-* ``brute_force_oracle`` scores every one of the n! permutations with the
-  direct metric formulas.  It is the reference implementation and is kept
-  deliberately simple; it refuses instances with more than 9 tasks.
+* ``brute_force_oracle`` scores every one of the n! permutations as
+  ``score`` does, summing each task's charge along the order.  It is the
+  reference for the search and is kept deliberately simple: it reads no
+  transition table, and the tests check its optima against per-voter
+  kernels.  It refuses instances with more than 9 tasks.
 * ``solve_exact`` runs a dynamic program over the 2^n subsets of tasks.
   Appending one task to a fixed prefix changes each objective by an amount
   that depends only on the prefix load (for deviation and tardiness) or on
@@ -139,7 +141,7 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
-    rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), objective, tabulate=True)
+    rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), objective)
 
     # best completion cost and number of optimal completions for every
     # prefix set, filled from the full set down: mask = mh << half | ml; the

@@ -1,0 +1,82 @@
+"""Plain per-voter kernels: each objective summed voter group by voter group.
+
+The package scores deviation and tardiness from per-task due tables and the
+pairwise objective from pair counts.  These loops read the ballots directly
+and share nothing with it but the public profile, so a property checked
+against them keeps ``score``, the brute-force oracle and the exact solver's
+charges honest from outside.
+"""
+
+from hypothesis import strategies as st
+
+from collective_schedules import Objective, PreferenceProfile, TaskSet
+
+
+def completions(order, lengths: tuple[int, ...]) -> list[int]:
+    """``comp[i]``: the finish time of task ``i`` when the tasks run in ``order`` (indices)."""
+    comp = [0] * len(lengths)
+    elapsed = 0
+    for i in order:
+        elapsed += lengths[i]
+        comp[i] = elapsed
+    return comp
+
+
+def deviation_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
+    total = 0
+    for due, mult in zip(dues, mults):
+        total += mult * sum(abs(c - d) for c, d in zip(comp, due))
+    return total
+
+
+def tardiness_kernel(comp: list[int], dues: list[list[int]], mults: list[int]) -> int:
+    total = 0
+    for due, mult in zip(dues, mults):
+        group = 0
+        for c, d in zip(comp, due):
+            if c > d:
+                group += c - d
+        total += mult * group
+    return total
+
+
+def pta_kernel(order, lengths: tuple[int, ...], dues: list[list[int]], mults: list[int]) -> int:
+    # a voter who wanted b before a charges lengths[a] when a runs first
+    total = 0
+    for due, mult in zip(dues, mults):
+        for r, a in enumerate(order):
+            total += mult * lengths[a] * sum(1 for b in order[r + 1 :] if due[b] < due[a])
+    return total
+
+
+def kernel_evaluator(profile: PreferenceProfile, objective: Objective):
+    """``evaluate(order)``: an index order's score from the per-voter kernels."""
+    objective = Objective(objective)
+    tasks = profile.tasks
+    lengths = tasks.lengths
+    dues = [completions([tasks.index(tid) for tid in ballot.order], lengths) for ballot, _ in profile.groups]
+    mults = [mult for _, mult in profile.groups]
+    if objective is Objective.PTA_KENDALL_TAU:
+        return lambda order: pta_kernel(order, lengths, dues, mults)
+    kernel = deviation_kernel if objective is Objective.SUM_DEVIATION else tardiness_kernel
+    return lambda order: kernel(completions(order, lengths), dues, mults)
+
+
+@st.composite
+def kernel_instances(draw, max_tasks=8):
+    """Up to ``max_tasks`` tasks: half of them tie-heavy (one or two voters of
+    multiplicity one, equal and often unit lengths), the rest with up to five
+    groups, multiplicities up to 2^50 and lengths up to 10^12."""
+    n = draw(st.integers(1, max_tasks))
+    length = st.integers(1, 3) | st.integers(1, 10**12)
+    if draw(st.booleans()):
+        lengths = [draw(st.just(1) | length)] * n
+        mult = st.just(1)
+        groups = draw(st.integers(1, 2))
+    else:
+        lengths = draw(st.lists(length, min_size=n, max_size=n))
+        mult = st.integers(1, 5) | st.integers(1, 2**50)
+        groups = draw(st.integers(1, 5))
+    tasks = TaskSet(tuple((f"t{i}", x) for i, x in enumerate(lengths)))
+    ballots = [draw(st.permutations(tasks.ids)) for _ in range(groups)]
+    return tasks, PreferenceProfile.of(tasks, *((ballot, draw(mult)) for ballot in ballots))

@@ -323,6 +323,25 @@ class TestReinforcement:
         for objective in Objective:
             assert reinforcement_check(part_a, part_b, objective).holds is True
 
+    @pytest.mark.parametrize(
+        "objective, expected",
+        [
+            (Objective.SUM_DEVIATION, {"validate_profile": 5, "due_tables": 5}),
+            (Objective.SUM_TARDINESS, {"validate_profile": 6, "due_tables": 6}),
+            (Objective.PTA_KENDALL_TAU, {"validate_profile": 5}),
+        ],
+    )
+    def test_validates_each_profile_once_before_the_samples(self, objective, expected, compile_counts):
+        # one compile each for the parts and the union before the 40 samples,
+        # then one per enumeration (the union's only when the parts share an
+        # optimum, as under tardiness here); scoring the three in turn through
+        # the kept slot validated 122 or 123 times
+        tasks, profile = generate(GenSpec(8, 50, "uniform", (1, 10), 0))
+        part_a = PreferenceProfile(tasks, profile.groups[::2])
+        part_b = PreferenceProfile(tasks, profile.groups[1::2])
+        assert reinforcement_check(part_a, part_b, objective).holds is True
+        assert compile_counts == expected
+
     def test_rejects_mismatched_parts(self, example):
         tasks, profile = example
         other_tasks = TaskSet.of(("1", 2), ("2", 4), ("3", 2))

@@ -2,9 +2,11 @@
 
 ``local_search`` scores each adjacent swap by its change in score, read
 from the compiled profile; ``median_completion_times`` reads the lower
-median from the per-task sorted due tables.  Both must agree exactly with
-the straightforward versions kept here: the full-rescore descent and a
-voter-by-voter median.
+median from the per-task sorted due tables; ``score``, the brute-force
+oracle and the exact solver's tables sum per-task charges.  All must agree
+exactly with the straightforward versions: the full-rescore descent and a
+voter-by-voter median kept here, and the per-voter kernels of
+``reference_kernels``.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from collective_schedules import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    brute_force_oracle,
     generate,
     lmt,
     local_search,
@@ -32,8 +35,9 @@ from collective_schedules import (
     score,
 )
 from collective_schedules.generation import MODELS
-from collective_schedules.metrics import _compile_profile, _evaluator, _transitions
+from collective_schedules.metrics import _compile_profile, _finish_charge, _RowsOnRead, _swap_terms, _transitions
 from collective_schedules.model import _require_permutation
+from reference_kernels import kernel_evaluator, kernel_instances
 
 
 def reference_local_search(
@@ -162,7 +166,7 @@ class TestDeltaSearchMatchesFullRescore:
 
 
 def tabulates_rows(tasks: TaskSet) -> bool:
-    """The row rule: whether ``_transitions(..., tabulate=True)`` reads the
+    """The row rule: whether ``_transitions`` reads the
     deviation and tardiness charges from rows over the distinct subset
     loads or bisects the due tables."""
     n, loads = tasks.n, {0}
@@ -209,44 +213,55 @@ def row_rule_instances(draw, rows):
     return tasks, PreferenceProfile.of(tasks, *zip(ballots, counts))
 
 
+def charge_sum(charge, order, lengths) -> int:
+    """The sum of ``charge(i, mask, start)`` along ``order``."""
+    total = start = mask = 0
+    for i in order:
+        total += charge(i, mask, start)
+        start += lengths[i]
+        mask |= 1 << i
+    return total
+
+
 class TestTransitionsMatchKernels:
-    """``_transitions``' tables, and its untabulated ``charges`` and ``pair``,
-    against the full-score kernels of ``_evaluator``, with and without the
-    rows over distinct loads."""
+    """The exact solver's tables, the local search's swap terms and the
+    bisecting fallback rows, against the per-voter kernels, with and
+    without the rows over distinct loads."""
 
     @pytest.mark.parametrize("rows", [True, False])
-    @pytest.mark.parametrize("tabulate", [True, False])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), objective=st.sampled_from(list(Objective)))
-    def test_steps_sum_to_the_score_and_pairs_give_each_swap(self, tabulate, rows, data, objective):
+    def test_table_charges_sum_to_the_score(self, rows, data, objective):
         tasks, profile = data.draw(row_rule_instances(rows))
         assert tabulates_rows(tasks) == rows
-        compiled = _compile_profile(profile)
-        evaluate = _evaluator(compiled, objective)
+        table_rows, low_key, high_key, high = _transitions(_compile_profile(profile), objective)
+        if objective is not Objective.PTA_KENDALL_TAU:
+            assert isinstance(table_rows, dict) == rows
+        half = tasks.n // 2
+
+        def charge(i, mask, start):
+            ml, mh = mask & (1 << half) - 1, mask >> half
+            return table_rows[low_key[ml] + high_key[mh]][i] + high[mh][i]
+
         order = data.draw(st.permutations(range(tasks.n)))
-        if tabulate:
-            table_rows, low_key, high_key, high = _transitions(compiled, objective, tabulate)
-            half = tasks.n // 2
-            if objective is not Objective.PTA_KENDALL_TAU:
-                assert isinstance(table_rows, dict) == rows
+        assert charge_sum(charge, order, tasks.lengths) == kernel_evaluator(profile, objective)(order)
 
-            def charge(i, mask, start):
-                ml, mh = mask & (1 << half) - 1, mask >> half
-                return table_rows[low_key[ml] + high_key[mh]][i] + high[mh][i]
-        else:
-            charges, pair = _transitions(compiled, objective, tabulate)
-
-            def charge(i, mask, start):
-                return charges(mask, start)[i]
-
-        total = start = mask = 0
-        for i in order:
-            total += charge(i, mask, start)
-            start += tasks.lengths[i]
-            mask |= 1 << i
-        assert total == evaluate(order)
-        if tabulate:
-            return
+    @pytest.mark.parametrize("rows", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_pairs_give_each_swap_and_fallback_rows_sum_to_the_score(self, rows, data, objective):
+        tasks, profile = data.draw(row_rule_instances(rows))
+        compiled = _compile_profile(profile)
+        evaluate = kernel_evaluator(profile, objective)
+        order = data.draw(st.permutations(range(tasks.n)))
+        if objective is not Objective.PTA_KENDALL_TAU:
+            fallback = _RowsOnRead(_finish_charge(compiled, objective))
+            total = charge_sum(lambda i, mask, start: fallback[start][i], order, tasks.lengths)
+            assert total == evaluate(order)
+            if rows:
+                for start, row in _transitions(compiled, objective)[0].items():
+                    assert row == [fallback[start][i] for i in range(tasks.n)]
+        pair = _swap_terms(compiled, objective)
         start = 0
         for pos in range(tasks.n - 1):
             a, b = order[pos], order[pos + 1]
@@ -254,6 +269,30 @@ class TestTransitionsMatchKernels:
             swapped[pos], swapped[pos + 1] = b, a
             assert pair(b, a, start) - pair(a, b, start) == evaluate(swapped) - evaluate(order)
             start += tasks.lengths[a]
+
+
+class TestScoresMatchPerVoterKernels:
+    """``score`` and the brute-force oracle read the same charges as the
+    exact solver; these properties keep both independent of them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=kernel_instances(), objective=st.sampled_from(list(Objective)), data=st.data())
+    def test_score(self, instance, objective, data):
+        tasks, profile = instance
+        order = data.draw(st.permutations(range(tasks.n)))
+        schedule = Schedule(tuple(tasks.ids[i] for i in order))
+        assert score(schedule, profile, objective) == kernel_evaluator(profile, objective)(order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=kernel_instances(max_tasks=6), objective=st.sampled_from(list(Objective)))
+    def test_oracle_optimum_and_argmin_set(self, instance, objective):
+        tasks, profile = instance
+        evaluate = kernel_evaluator(profile, objective)
+        scores = {order: evaluate(order) for order in itertools.permutations(range(tasks.n))}
+        best = min(scores.values())
+        argmins = tuple(Schedule(tuple(tasks.ids[i] for i in o)) for o, value in scores.items() if value == best)
+        oracle = brute_force_oracle(tasks, profile, objective)
+        assert (oracle.optimal_score, oracle.optima) == (best, argmins)
 
 
 class TestMedianFromDueTables:
