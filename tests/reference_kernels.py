@@ -4,8 +4,13 @@ The package scores deviation and tardiness from per-task due tables and the
 pairwise objective from pair counts.  These loops read the ballots directly
 and share nothing with it but the public profile, so a property checked
 against them keeps ``score``, the brute-force oracle and the exact solver's
-charges honest from outside.
+charges honest from outside.  :func:`reference_compile` builds a valid
+profile's index-space form the plain way, walk by walk, for the compiled
+profile to be checked against.
 """
+
+from itertools import accumulate
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -60,6 +65,28 @@ def kernel_evaluator(profile: PreferenceProfile, objective: Objective):
         return lambda order: pta_kernel(order, lengths, dues, mults)
     kernel = deviation_kernel if objective is Objective.SUM_DEVIATION else tardiness_kernel
     return lambda order: kernel(completions(order, lengths), dues, mults)
+
+
+def reference_compile(profile: PreferenceProfile):
+    """``(dues, mults, voter_count, due_tables)`` of a valid profile, built in
+    two walks over the ballots: the index-space completions, then per task
+    a dict of due weights sorted into cumulative tables."""
+    tasks = profile.tasks
+    lengths = tasks.lengths
+    index = tasks._index
+    dues = [completions([index[tid] for tid in s.order], lengths) for s, _ in profile.groups]
+    mults = [m for _, m in profile.groups]
+    tables = []
+    for column in zip(*dues):
+        weight: dict[int, int] = {}
+        for due, mult in zip(column, mults):
+            weight[due] = weight.get(due, 0) + mult
+        sorted_dues = sorted(weight)
+        weights = [weight[due] for due in sorted_dues]
+        cum_mult = list(accumulate(weights, initial=0))
+        cum_due = list(accumulate(map(mul, sorted_dues, weights), initial=0))
+        tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
+    return dues, mults, sum(mults), tables
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective_schedules import (
+    CollectiveSchedulesError,
     DuplicateTaskError,
     GenSpec,
     MismatchedTaskSetError,
@@ -26,11 +27,15 @@ from collective_schedules import (
     pairwise_counts,
     pta_condorcet_constraints,
     pta_kendall_tau,
+    require_valid_profile,
     score,
     solve_exact,
     tardiness,
     unanimous_pairs,
 )
+from collective_schedules.metrics import _compile_profile
+from reference_kernels import reference_compile
+from test_model import defective_profiles
 
 # Every permutation of the shared example, scored by hand:
 # (order) -> (sum of absolute deviations, sum of tardiness, pairwise score)
@@ -308,3 +313,24 @@ class TestKeptCompiledProfile:
                 expected = lrm_probe(fresh, rule, target, 1)
                 lmt(tasks, a)
                 assert lrm_probe(b, rule, target, 1) == expected
+
+
+class TestCompileMatchesValidationThenTwoWalks:
+    @settings(max_examples=400, deadline=None)
+    @given(case=defective_profiles())
+    def test_same_form_or_same_error(self, case):
+        # a valid profile compiles to the plain two-walk form; an invalid one
+        # raises what require_valid_profile raises, class and message
+        profile, tasks = case
+        if tasks is not None:
+            profile = PreferenceProfile(tasks, profile.groups)
+        try:
+            require_valid_profile(profile)
+        except (CollectiveSchedulesError, ValueError) as expected:
+            with pytest.raises(type(expected)) as caught:
+                _compile_profile(profile)
+            assert type(caught.value) is type(expected) and str(caught.value) == str(expected)
+            return
+        compiled = _compile_profile(profile)
+        got = (compiled.dues, compiled.mults, compiled.voter_count, compiled.due_tables)
+        assert got == reference_compile(profile)

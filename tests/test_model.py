@@ -1,5 +1,7 @@
 """Core data types: task sets, schedules, profiles, and validation."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,8 +245,16 @@ def reference_validate_profile(profile):
     return ProfileValidation(ok=not defects, voter_count=voters, task_count=tasks.n, defects=tuple(defects))
 
 
-good_multiplicities = st.one_of(st.integers(1, 3), st.integers(2**60, 2**62))
-bad_multiplicities = st.one_of(st.integers(-3, 0), st.booleans(), st.sampled_from([1.0, 2.5, "2", None]))
+class Seats(IntEnum):
+    """An int subclass other than bool: a valid multiplicity when positive."""
+
+    NONE = 0
+    ONE = 1
+    THREE = 3
+
+
+good_multiplicities = st.one_of(st.integers(1, 3), st.integers(2**60, 2**62), st.sampled_from([Seats.ONE, Seats.THREE]))
+bad_multiplicities = st.one_of(st.integers(-3, 0), st.booleans(), st.sampled_from([1.0, 2.5, "2", None, Seats.NONE]))
 
 
 @st.composite
@@ -253,9 +263,9 @@ def defective_profiles(draw):
 
     Half the draws are valid profiles.  The rest draw ballots from the known
     ids and a few unknown ones, with repeats and omissions, or as exact
-    permutations; multiplicities may be bools, zero, negative or not ints;
-    groups may be absent; the task set the ballots are checked against may
-    differ from the one they were drawn over.
+    permutations; multiplicities may be bools, zero, negative, not ints or
+    ``IntEnum`` members; groups may be absent; the task set the ballots are
+    checked against may differ from the one they were drawn over.
     """
     n = draw(st.integers(1, 5))
     tasks = TaskSet(tuple((f"t{i}", draw(st.integers(1, 4))) for i in range(n)))
