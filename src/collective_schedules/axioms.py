@@ -25,9 +25,7 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TaskSet,
-    _with_length,
     completion_times,
-    require_valid_profile,
     swap_tasks_in_profile,
 )
 from .rules import apply_rule
@@ -115,7 +113,7 @@ def lrm_probe(
     drops to ``reduced_length`` (ballot orders unchanged), then compares
     the target's start times.  Holds when the start does not move later.
     """
-    require_valid_profile(profile)  # and keeps it: the rule's compile skips validation
+    _compile_profile(profile)  # rejects an invalid profile first; the rule reads the kept form
     tasks = profile.tasks
     old_length = tasks.length(target)
     if not isinstance(reduced_length, int) or isinstance(reduced_length, bool):
@@ -125,7 +123,7 @@ def lrm_probe(
             f"reduced length must be in [1, {old_length - 1}], got {reduced_length}"
         )
     before = apply_rule(rule, tasks, profile)
-    reduced = _with_length(profile, target, reduced_length)
+    reduced = PreferenceProfile(tasks.with_length(target, reduced_length), profile.groups)
     after = apply_rule(rule, reduced.tasks, reduced)
     return _lrm_verdict(target, tasks, reduced.tasks, before, after)
 
@@ -203,11 +201,14 @@ def reinforcement_check(
     objective = Objective(objective)
     tasks = part_a.tasks
     union = PreferenceProfile(tasks, part_a.groups + part_b.groups)
-    # one evaluator per profile: scoring the three in turn through the one kept
-    # compiled profile would validate and compile each again for every sample
-    evaluate_a, evaluate_b, evaluate_union = (
-        _evaluator(_compile_profile(p), objective) for p in (part_a, part_b, union)
-    )
+    # one evaluator per profile, each part enumerated while it is the kept one
+    # and the union compiled last, so every profile compiles once: scoring the
+    # three in turn through the one kept form would compile each per sample
+    evaluate_a = _evaluator(_compile_profile(part_a), objective)
+    optima_a, complete_a = enumerate_optima(tasks, part_a, objective, cap)
+    evaluate_b = _evaluator(_compile_profile(part_b), objective)
+    optima_b, complete_b = enumerate_optima(tasks, part_b, objective, cap)
+    evaluate_union = _evaluator(_compile_profile(union), objective)
 
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -217,8 +218,6 @@ def reinforcement_check(
             s = Schedule(tuple(tasks.ids[i] for i in order))
             return AxiomVerdict("reinforcement", False, {"schedule": s, "split_score": parts})
 
-    optima_a, complete_a = enumerate_optima(tasks, part_a, objective, cap)
-    optima_b, complete_b = enumerate_optima(tasks, part_b, objective, cap)
     if not (complete_a and complete_b):
         return AxiomVerdict("reinforcement", None)
     common = set(optima_a) & set(optima_b)

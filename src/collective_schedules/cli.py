@@ -148,8 +148,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     objective = RULE_OBJECTIVE[args.rule]
     payload = {"rule": args.rule, "objective": objective.value}
-    # validate_profile keeps the profile it found valid, so each branch
-    # compiles it once without validating it again
+    # each branch compiles the profile once, checking it again in the same walk
     if args.evaluate is not None:
         order = Schedule(tuple(tid.strip() for tid in args.evaluate.split(",")))
         payload.update(schedule=list(order.order), score=score(order, profile, objective))

@@ -28,7 +28,7 @@ from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .metrics import score
-from .model import Objective, PreferenceProfile, TaskSet, _with_length
+from .model import Objective, PreferenceProfile, TaskSet
 from .rules import EXACT_RULES
 from .solver import SolveOptions, SolveReport, solve_exact
 
@@ -249,9 +249,8 @@ def run_lrm_audit(
     ``reduction="uniform"`` redraws its length uniformly below the old
     value, a harsher perturbation that roughly triples the violation rate
     of the deviation rule.  Each rule is solved on the instance and on its
-    reduced copy; the instance is validated once, and each of the two is
-    compiled once.  ``times["instance"]`` covers the whole instance,
-    compiles included.
+    reduced copy, each of the two compiled once.  ``times["instance"]``
+    covers the whole instance, compiles included.
     """
     import numpy as np  # imported on use: the solve path never loads numpy
 
@@ -279,7 +278,7 @@ def run_lrm_audit(
         else:
             reduced_length = int(chooser.integers(1, tasks.length(target)))
         before = _solve_exact_rules(tasks, profile)
-        reduced = _with_length(profile, target, reduced_length)
+        reduced = PreferenceProfile(tasks.with_length(target, reduced_length), profile.groups)
         after = _solve_exact_rules(reduced.tasks, reduced)
         detail = {
             "model": model,

@@ -17,6 +17,7 @@ equal instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import InvalidSpecError
 from .model import PreferenceProfile, TaskSet, _shown
@@ -102,12 +103,17 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
         # the same doubles as Python floats, whose arithmetic is cheaper
         # than numpy scalars' and rounds the same
         utilities = utilities.tolist()
-        ballots = [_plackett_luce_ballot(rng, ids, utilities) for _ in range(spec.v)]
+        # every pick's uniform from one call: the same doubles, in the same
+        # order, as one rng.random() per pick, at a fraction of the cost;
+        # converted one at a time, so no list of n * v floats is held
+        uniforms = SimpleNamespace(random=map(float, rng.random(spec.n * spec.v)).__next__)
+        ballots = [_plackett_luce_ballot(uniforms, ids, utilities) for _ in range(spec.v)]
 
     return tasks, PreferenceProfile.from_orders(tasks, ballots)
 
 
 def _plackett_luce_ballot(rng, ids, utilities) -> tuple[str, ...]:
+    # one rng.random() per pick, len(ids) in all
     remaining = list(range(len(ids)))
     order: list[str] = []
     while remaining:

@@ -12,13 +12,13 @@ Three profile metrics drive the aggregation rules:
 
 All scores are exact Python integers.  Scoring, solving, heuristic and
 audit entry points read a :class:`CompiledProfile`, the same ballots in
-task-index space, which builds its pairwise order counts and per-task due
-tables once for every rule run on it: scoring one more candidate then
-costs O(n^2) for the pairwise objective and O(n log groups) for the
-others, not another scan over the voters.  One compiled form is kept, for
-the profile most recently compiled: every entry point called on that same
-profile object reads it without validating or compiling again, and the
-next profile replaces it.
+task-index space with per-task due tables, built in one walk over the
+ballots that also checks them, and pairwise order counts built on first
+read: scoring one more candidate then costs O(n^2) for the pairwise
+objective and O(n log groups) for the others, not another scan over the
+voters.  One compiled form is kept, for the profile most recently
+compiled: every entry point called on that same profile object reads it
+without checking or compiling again, and the next profile replaces it.
 
 Only this module knows each objective, and it computes each cost one way.
 Deviation and tardiness charge each task by its finish time alone
@@ -40,15 +40,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul, sub
 
-from .model import (
-    Objective,
-    PreferenceProfile,
-    Schedule,
-    TaskSet,
-    _completions_by_index,
-    _kept_form,
-    _require_permutation,
-)
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, require_valid_profile
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,15 +96,19 @@ def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) 
 
 @dataclass(slots=True)
 class CompiledProfile:
-    """A validated profile in task-index space, built once per instance.
+    """A valid profile in task-index space, built once per instance.
 
     ``dues[g][i]`` is the completion time voter group ``g`` wants for the
     task with declared index ``i``; ``mults[g]`` is that group's
-    multiplicity.  Get it from :func:`_compile_profile`, which keeps the
-    most recent one.  The per-task due tables (:func:`_due_prefix_tables`)
-    and the pair counts (:func:`_pair_counts`) are built on first read and
-    kept, so every rule run on the same profile shares them.  Nothing built
-    from them is kept here: a solve's own tables die with the solve.
+    multiplicity.  ``due_tables[i]`` is ``(sorted_dues, cum_mult, cum_due,
+    total_mult, total_due)``: task ``i``'s distinct wanted completions,
+    sorted, each weighted by the summed multiplicity of the groups wanting
+    it, with cumulative sums that start at 0, so ``cum_mult[r]`` is the
+    weight of the voters wanting one of the ``r`` smallest dues.  Get it
+    from :func:`_compile_profile`, which keeps the most recent one.  The
+    pair counts (:func:`_pair_counts`) are built on first read and kept, so
+    every rule run on the same profile shares them.  Nothing built from
+    these is kept here: a solve's own tables die with the solve.
     """
 
     tasks: TaskSet
@@ -120,14 +116,8 @@ class CompiledProfile:
     dues: list[list[int]]
     mults: list[int]
     voter_count: int
-    _due_tables: list | None = field(default=None, init=False, repr=False, compare=False)
+    due_tables: list[tuple[list[int], list[int], list[int], int, int]]
     _pair_counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def due_tables(self) -> list[tuple[list[int], list[int], list[int], int, int]]:
-        if self._due_tables is None:
-            self._due_tables = _due_prefix_tables(self)
-        return self._due_tables
 
     @property
     def pair_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -136,40 +126,67 @@ class CompiledProfile:
         return self._pair_counts
 
 
+# The profile most recently compiled and its compiled form: one entry, keyed
+# by identity.  It holds the profile itself, so the id cannot be recycled
+# while the entry lasts, and a valid profile is deeply immutable, so a kept
+# form cannot go stale.  Readers take the pair in one read: a concurrent
+# caller may replace it between two reads, which at worst costs a second
+# compile, never another profile's form.
+_kept: tuple[PreferenceProfile | None, CompiledProfile | None] = (None, None)
+
+
 def _compile_profile(profile: PreferenceProfile) -> CompiledProfile:
-    """``profile``'s ballots in index space, validated and built once while kept."""
-    return _kept_form(profile, _compile)
+    """``profile``'s ballots in index space, checked and built once while kept."""
+    global _kept
+    kept, compiled = _kept
+    if kept is not profile:
+        compiled = _compile(profile)
+        _kept = (profile, compiled)
+    return compiled
 
 
 def _compile(profile: PreferenceProfile) -> CompiledProfile:
+    """One walk over the ballots: each group's completions by task index, added
+    into each task's due weights, and the group checked on the way.
+
+    A group passes with a multiplicity that is a positive non-bool ``int``
+    and n known ids, none repeated.  Where one fails, the profile goes to
+    :func:`require_valid_profile`, which raises on its first defect.
+    """
     tasks = profile.tasks
     lengths = tasks.lengths
-    index = tasks._index
-    dues = [_completions_by_index([index[tid] for tid in s.order], lengths) for s, _ in profile.groups]
-    mults = [m for _, m in profile.groups]
-    return CompiledProfile(tasks, lengths, dues, mults, sum(mults))
-
-
-def _due_prefix_tables(compiled: CompiledProfile):
-    """Per task: its distinct preferred completions, sorted, with cumulative weight sums.
-
-    Entry ``i`` is ``(sorted_dues, cum_mult, cum_due, total_mult,
-    total_due)``.  Groups wanting the same completion share one entry
-    weighted by their summed multiplicity.  The cumulative lists start at
-    0, so ``cum_mult[r]`` is the weight of the voters wanting one of the
-    ``r`` smallest dues.
-    """
+    n = len(lengths)
+    weights: list[dict[int, int]] = [{} for _ in lengths]
+    slots = {tid: (i, length, weights[i]) for i, (tid, length) in enumerate(tasks.tasks)}
+    dues: list[list[int]] = []
+    mults: list[int] = []
+    try:
+        for schedule, mult in profile.groups:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1 or len(schedule.order) != n:
+                break
+            due = [0] * n
+            elapsed = 0
+            for tid in schedule.order:
+                i, length, weight = slots[tid]
+                elapsed += length
+                due[i] = elapsed
+                weight[elapsed] = weight.get(elapsed, 0) + mult
+            if 0 in due:  # n known ids with a repeat leave a task never run
+                break
+            dues.append(due)
+            mults.append(mult)
+    except (KeyError, TypeError):  # an unknown or unhashable id
+        pass
+    if not dues or len(dues) < len(profile.groups):
+        require_valid_profile(profile)  # raises on the defect the walk stopped at
     tables = []
-    for column in zip(*compiled.dues):
-        weight: dict[int, int] = {}
-        for due, mult in zip(column, compiled.mults):
-            weight[due] = weight.get(due, 0) + mult
+    for weight in weights:
         sorted_dues = sorted(weight)
-        weights = [weight[due] for due in sorted_dues]
-        cum_mult = list(accumulate(weights, initial=0))
-        cum_due = list(accumulate(map(mul, sorted_dues, weights), initial=0))
+        counts = [weight[due] for due in sorted_dues]
+        cum_mult = list(accumulate(counts, initial=0))
+        cum_due = list(accumulate(map(mul, sorted_dues, counts), initial=0))
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
-    return tables
+    return CompiledProfile(tasks, lengths, dues, mults, sum(mults), tables)
 
 
 def _finish_charge(compiled: CompiledProfile, objective: Objective):

@@ -139,7 +139,8 @@ class PreferenceProfile:
 
     The profile is a plain record: it stores whatever it is given so that
     :func:`validate_profile` can report defects.  Scoring and solving entry
-    points reject invalid profiles up front.
+    points reject an invalid profile as they compile it, before any scoring,
+    raising what :func:`require_valid_profile` raises.
     """
 
     tasks: TaskSet
@@ -206,11 +207,7 @@ def completion_times(schedule: Schedule, tasks: TaskSet) -> dict[str, int]:
 
 
 def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
-    """Check a profile's ballots against its task set and report every defect found.
-
-    The profile most recently found valid is kept, so the next scoring,
-    solving or audit call on it compiles it without validating it again.
-    """
+    """Check a profile's ballots against its task set and report every defect found."""
     tasks = profile.tasks
     defects: list[ProfileDefect] = []
     if not profile.groups:
@@ -237,8 +234,6 @@ def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
             defects.append(ProfileDefect(g, "missing-task", f"group {g} is missing task(s) {missing}"))
     if not defects and voters < 1:
         defects.append(ProfileDefect(None, "no-voters", "profile has zero voters"))
-    if not defects and _kept[0] is not profile:
-        _keep(profile)
     return ProfileValidation(ok=not defects, voter_count=voters, task_count=tasks.n, defects=tuple(defects))
 
 
@@ -265,51 +260,6 @@ def swap_tasks_in_profile(profile: PreferenceProfile, a: str, b: str) -> Prefere
     if a == b:
         return profile
     return PreferenceProfile(profile.tasks, tuple((s.swap(a, b), m) for s, m in profile.groups))
-
-
-# The profile most recently found valid, paired with the form that
-# ``_kept_form`` built for it (``None`` until then).  One entry, keyed by
-# identity.  It holds the profile itself, so the id cannot be recycled while
-# the entry lasts, and a valid profile is deeply immutable, so a kept form
-# cannot go stale.  Readers take the pair in one read: a concurrent caller
-# may replace it between two reads, which at worst costs a second
-# validation and build, never another profile's form.
-_kept: tuple[PreferenceProfile | None, object] = (None, None)
-
-
-def _keep(profile: PreferenceProfile, form: object = None) -> None:
-    global _kept
-    _kept = (profile, form)
-
-
-def _kept_form(profile: PreferenceProfile, build):
-    """``build(profile)``, validated and built at most once while ``profile`` is kept.
-
-    A profile other than the kept one is validated first, raising on its
-    first defect (the kept one was found valid already).  The form built
-    replaces the previous entry.
-    """
-    kept, form = _kept
-    if kept is not profile:
-        require_valid_profile(profile)
-    elif form is not None:
-        return form
-    form = build(profile)
-    _keep(profile, form)
-    return form
-
-
-def _with_length(profile: PreferenceProfile, task_id: str, new_length: int) -> PreferenceProfile:
-    """``profile``'s ballots over its task set with one task's length replaced.
-
-    A length change keeps every id and multiplicity, so the copy of the kept
-    profile is valid by construction: it becomes the kept profile without
-    a second validation.
-    """
-    reduced = PreferenceProfile(profile.tasks.with_length(task_id, new_length), profile.groups)
-    if _kept[0] is profile:
-        _keep(reduced)
-    return reduced
 
 
 def _require_permutation(schedule: Schedule, tasks: TaskSet) -> tuple[int, ...]:

@@ -132,7 +132,7 @@ def solve_exact(
     per-half-mask lists (:func:`_waiting`), and reads each charge from the
     tables of ``metrics._transitions``.  ``wall_time_s`` covers the whole
     call, including the compile when ``profile`` is not the kept one and
-    any due table or pair count that no earlier call on it built.
+    the pair counts when no earlier call on it built them.
     """
     started = time.perf_counter()
     objective = Objective(objective)

@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from collective_schedules import cli, metrics
-from collective_schedules import model as model_module
+from collective_schedules import metrics
 from collective_schedules.gallery import three_task_example
 
 
@@ -18,19 +17,14 @@ def example():
 
 @pytest.fixture()
 def compile_counts(monkeypatch):
-    """Calls of ``validate_profile`` (wherever bound) and due-table builds."""
+    """Compiled-profile builds, under ``"compiles"``: each one checks the
+    ballots, translates them to task indices and tabulates the dues."""
     counts = Counter()
+    build = metrics._compile
 
-    def count(module, name, key):
-        original = getattr(module, name)
+    def counting(profile):
+        counts["compiles"] += 1
+        return build(profile)
 
-        def counting(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-
-    for module in (model_module, cli):
-        count(module, "validate_profile", "validate_profile")
-    count(metrics, "_due_prefix_tables", "due_tables")
+    monkeypatch.setattr(metrics, "_compile", counting)
     return counts

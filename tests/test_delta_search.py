@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import collective_schedules.model as model_module
 from collective_schedules import (
     GenSpec,
     LocalSearchStep,
@@ -145,24 +144,16 @@ class TestDeltaSearchMatchesFullRescore:
         start = Schedule(tuple(reversed(tasks.ids)))
         assert local_search(start, profile, objective, 3) == reference_local_search(start, profile, objective, 3)
 
-    def test_validates_the_profile_once(self, monkeypatch):
+    def test_validates_the_profile_once(self, compile_counts):
         # the full-rescore descent re-validated the profile for every swap
-        calls = []
-        validate = model_module.validate_profile
-
-        def counting_validate(*args, **kwargs):
-            calls.append(args)
-            return validate(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "validate_profile", counting_validate)
         tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
         start = Schedule(tuple(reversed(tasks.ids)))
         for objective in Objective:
-            calls.clear()
-            # an equal copy is not the kept profile, so each call validates
+            compile_counts.clear()
+            # an equal copy is not the kept profile, so each call compiles
             _, trace = local_search(start, PreferenceProfile(tasks, profile.groups), objective)
             assert trace.steps
-            assert len(calls) == 1
+            assert compile_counts == {"compiles": 1}
 
 
 def tabulates_rows(tasks: TaskSet) -> bool:

@@ -218,7 +218,7 @@ class TestCliSolve:
     @pytest.mark.parametrize("rule", ["lmt", "lmt-ls"])
     def test_heuristic_rules_validate_and_tabulate_once(self, rule, instance_file, compile_counts):
         assert main(["solve", "--rule", rule, "--input", instance_file]) == 0
-        assert compile_counts == {"validate_profile": 1, "due_tables": 1}
+        assert compile_counts == {"compiles": 1}
 
     @pytest.mark.parametrize(
         "rule,extra",
@@ -226,7 +226,7 @@ class TestCliSolve:
     )
     def test_exact_rules_and_evaluate_validate_once(self, rule, extra, instance_file, compile_counts):
         assert main(["solve", "--rule", rule, "--input", instance_file, *extra]) == 0
-        assert compile_counts["validate_profile"] == 1
+        assert compile_counts == {"compiles": 1}
 
     @pytest.mark.parametrize("extra", [[], ["--all-optima"], ["--all-optima", "--cap", "1"]])
     @pytest.mark.parametrize("rule", RULE_NAMES)
