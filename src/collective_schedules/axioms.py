@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidReductionError, MismatchedTaskSetError
-from .metrics import _compile_profile, _evaluator
+from .metrics import _compile_profile
 from .model import (
     Objective,
     PreferenceProfile,
@@ -181,48 +181,24 @@ def reinforcement_check(
     part_a: PreferenceProfile,
     part_b: PreferenceProfile,
     objective: Objective,
-    samples: int = 40,
-    seed: int = 0,
     cap: int = 2000,
 ) -> AxiomVerdict:
     """Two electorates agreeing on an optimum keep it when merged.
 
-    Checks (a) score additivity, on ``samples`` seeded random schedules,
-    and (b) that when the parts share optima, the merged profile's optimum
-    set is exactly that intersection.  Undecided if enumeration hits
-    ``cap``.
+    When the parts share optima, the merged profile's optimum set must be
+    exactly that intersection.  Undecided if enumeration hits ``cap``.
     """
-    import numpy as np  # imported on use: the solve path never loads numpy
-
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
-        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
     if part_a.tasks != part_b.tasks:
         raise MismatchedTaskSetError("both profiles must range over the same task set")
-    objective = Objective(objective)
     tasks = part_a.tasks
-    union = PreferenceProfile(tasks, part_a.groups + part_b.groups)
-    # one evaluator per profile, each part enumerated while it is the kept one
-    # and the union compiled last, so every profile compiles once: scoring the
-    # three in turn through the one kept form would compile each per sample
-    evaluate_a = _evaluator(_compile_profile(part_a), objective)
     optima_a, complete_a = enumerate_optima(tasks, part_a, objective, cap)
-    evaluate_b = _evaluator(_compile_profile(part_b), objective)
     optima_b, complete_b = enumerate_optima(tasks, part_b, objective, cap)
-    evaluate_union = _evaluator(_compile_profile(union), objective)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        order = rng.permutation(tasks.n).tolist()
-        parts = evaluate_a(order) + evaluate_b(order)
-        if parts != evaluate_union(order):
-            s = Schedule(tuple(tasks.ids[i] for i in order))
-            return AxiomVerdict("reinforcement", False, {"schedule": s, "split_score": parts})
-
     if not (complete_a and complete_b):
         return AxiomVerdict("reinforcement", None)
     common = set(optima_a) & set(optima_b)
     if not common:
         return AxiomVerdict("reinforcement", True)
+    union = PreferenceProfile(tasks, part_a.groups + part_b.groups)
     optima_union, complete_union = enumerate_optima(tasks, union, objective, cap)
     if not complete_union:
         return AxiomVerdict("reinforcement", None)

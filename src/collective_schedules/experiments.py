@@ -107,6 +107,7 @@ def _cells(models, ns, vs, instances, seed, length_range):
     models = [canonical_model(m) for m in _listed("models", models)]
     ns, vs = _listed("ns", ns), _listed("vs", vs)
     _require_count("instances", instances)
+    _require_seed(seed)
 
     def draws(model, n, v):
         for i in range(instances):
@@ -255,6 +256,7 @@ def run_lrm_audit(
     import numpy as np  # imported on use: the solve path never loads numpy
 
     _require_count("instances", instances)
+    _require_seed(seed)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
     longest = length_range[-1] if isinstance(length_range, (tuple, list)) and len(length_range) == 2 else None
@@ -397,27 +399,23 @@ def run_audit_axioms(
     for model, n, v, draws in cells:
         for detail, tasks, profile in draws:
             started = time.perf_counter()
-            binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
             unanimous = unanimous_pairs(profile)
-            consistent = _consistent_order(tasks, binding) is not None
-            detail.update(has_consistent_schedule=consistent, rules={})
+            # the binding constraints form a tournament: only its consistent order obeys them all
+            consistent = _consistent_order(tasks, [(c.before, c.after) for c in pta_condorcet_constraints(profile)])
+            detail.update(has_consistent_schedule=consistent is not None, rules={})
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
-            options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent else None
+            options = SolveOptions(enumerate_all=True, optimum_cap=cap) if consistent is not None else None
             kemeny = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, options)
             for rule, objective in EXACT_RULES.items():
                 schedule = kemeny.schedule if rule == "pta-kemeny" else solve_exact(tasks, profile, objective).schedule
                 entry: dict[str, Any] = {}
-                if consistent:
-                    entry["pta_condorcet"] = _first_inverted(schedule, tasks, binding) is None
+                if consistent is not None:
+                    entry["pta_condorcet"] = schedule == consistent
                 entry["unanimity"] = _first_inverted(schedule, tasks, unanimous) is None
                 detail["rules"][rule] = entry
-            if consistent:
-                detail["kemeny_optima_consistent"] = (
-                    all(_first_inverted(s, tasks, binding) is None for s in kemeny.optima)
-                    if kemeny.optima_complete
-                    else None
-                )
+            if consistent is not None:
+                detail["kemeny_optima_consistent"] = kemeny.optima == (consistent,) if kemeny.optima_complete else None
             if include_times:
                 detail["times"] = {"instance": time.perf_counter() - started}
             details.append(detail)
@@ -493,3 +491,9 @@ def _listed(name: str, values: Iterable[Any]) -> list[Any]:
 def _require_count(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_seed(seed: int) -> None:
+    # instance_seed's int() would truncate 1.5, and read True as 1 and "3" as 3
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidSpecError(f"seed must be an integer, got {seed!r}")

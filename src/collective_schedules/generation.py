@@ -17,7 +17,6 @@ equal instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .errors import InvalidSpecError
 from .model import PreferenceProfile, TaskSet, _shown
@@ -80,6 +79,8 @@ class GenSpec:
                 ok = False
             if not ok:
                 raise InvalidSpecError("need one positive finite utility per task")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise InvalidSpecError(f"seed must be a non-negative integer, got {_shown(self.seed)}")
 
 
 def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
@@ -106,20 +107,20 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
         # every pick's uniform from one call: the same doubles, in the same
         # order, as one rng.random() per pick, at a fraction of the cost;
         # converted one at a time, so no list of n * v floats is held
-        uniforms = SimpleNamespace(random=map(float, rng.random(spec.n * spec.v)).__next__)
-        ballots = [_plackett_luce_ballot(uniforms, ids, utilities) for _ in range(spec.v)]
+        uniform = map(float, rng.random(spec.n * spec.v)).__next__
+        ballots = [_plackett_luce_ballot(uniform, ids, utilities) for _ in range(spec.v)]
 
     return tasks, PreferenceProfile.from_orders(tasks, ballots)
 
 
-def _plackett_luce_ballot(rng, ids, utilities) -> tuple[str, ...]:
-    # one rng.random() per pick, len(ids) in all
+def _plackett_luce_ballot(uniform, ids, utilities) -> tuple[str, ...]:
+    # one uniform() draw per pick, len(ids) in all
     remaining = list(range(len(ids)))
     order: list[str] = []
     while remaining:
         weights = [utilities[i] for i in remaining]
         total = sum(weights)
-        draw = rng.random() * total
+        draw = uniform() * total
         acc = 0.0
         chosen = len(remaining) - 1  # guard against float round-off
         for pos, w in enumerate(weights):

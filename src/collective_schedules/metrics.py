@@ -247,14 +247,13 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
     # rows over the distinct subset loads (n + 1 or more: past break-even at n <= 2) unless
     # past break-even or the memory cap; none at the full set's load, where no task waits
     rows = _RowsOnRead(charge)
-    if n > 2:
-        starts, limit = {0}, min(1 << (n - 1), max(1 << n, 1 << 16) // n)
-        for length in lengths:
-            starts |= {x + length for x in starts}
-            if len(starts) > limit:
-                break
-        else:
-            rows = {start: [charge(i, start) for i in range(n)] for start in starts - {sum(lengths)}}
+    starts, limit = {0}, min(1 << (n - 1), max(1 << n, 1 << 16) // n)
+    for length in lengths:
+        starts |= {x + length for x in starts}
+        if len(starts) > limit:
+            break
+    else:
+        rows = {start: [charge(i, start) for i in range(n)] for start in starts - {sum(lengths)}}
     return rows, low_key, high_key, [[0] * n] * len(high_key)
 
 

@@ -303,7 +303,7 @@ class TestReinforcement:
         part_a = PreferenceProfile(tasks, profile.groups[:1])
         part_b = PreferenceProfile(tasks, profile.groups[1:])
         for objective in Objective:
-            verdict = reinforcement_check(part_a, part_b, objective, samples=25, seed=3)
+            verdict = reinforcement_check(part_a, part_b, objective)
             assert verdict.holds is True
             assert verdict.axiom == "reinforcement"
 
@@ -315,18 +315,14 @@ class TestReinforcement:
             assert reinforcement_check(part_a, part_b, objective).holds is True
 
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_validates_each_profile_once_before_the_samples(self, objective, compile_counts):
-        # one compile each for the parts and the union: each part is
-        # enumerated while it is kept and the union, compiled last, stays kept
-        # through the samples and its enumeration (run when the parts share an
-        # optimum, as under tardiness here); scoring the three in turn through
-        # the kept slot compiled 122 or 123 times, and enumerating the parts
-        # after the union compiled each part again
+    def test_compiles_each_profile_at_most_once(self, objective, compile_counts):
+        # each part is compiled for its enumeration, and the union only when
+        # the parts share an optimum, as under tardiness here
         tasks, profile = generate(GenSpec(8, 50, "uniform", (1, 10), 0))
         part_a = PreferenceProfile(tasks, profile.groups[::2])
         part_b = PreferenceProfile(tasks, profile.groups[1::2])
         assert reinforcement_check(part_a, part_b, objective).holds is True
-        assert compile_counts == {"compiles": 3}
+        assert compile_counts == {"compiles": 3 if objective is Objective.SUM_TARDINESS else 2}
 
     def test_rejects_mismatched_parts(self, example):
         tasks, profile = example
@@ -334,17 +330,3 @@ class TestReinforcement:
         other = PreferenceProfile.of(other_tasks, (("1", "2", "3"), 1))
         with pytest.raises(MismatchedTaskSetError):
             reinforcement_check(profile, other, Objective.SUM_DEVIATION)
-
-    @pytest.mark.parametrize("samples", [-1, True, 2.5])
-    def test_samples_must_be_a_nonnegative_int(self, example, samples):
-        tasks, profile = example
-        part_a = PreferenceProfile(tasks, profile.groups[:1])
-        part_b = PreferenceProfile(tasks, profile.groups[1:])
-        with pytest.raises(ValueError, match="samples"):
-            reinforcement_check(part_a, part_b, Objective.SUM_DEVIATION, samples=samples)
-
-    def test_zero_samples_checks_only_the_optima(self, example):
-        tasks, profile = example
-        part_a = PreferenceProfile(tasks, profile.groups[:1])
-        part_b = PreferenceProfile(tasks, profile.groups[1:])
-        assert reinforcement_check(part_a, part_b, Objective.SUM_DEVIATION, samples=0).holds is True

@@ -262,6 +262,18 @@ def test_instance_count_must_be_a_positive_int(pipeline, count):
 
 
 @pytest.mark.parametrize(
+    "pipeline",
+    [run_compare, run_lmt_eval, run_lrm_audit, run_uniqueness_audit, run_audit_axioms],
+)
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+def test_seed_must_be_an_int(pipeline, seed, monkeypatch):
+    # int() would run the instances of seed 1, 1 and 3 while the report names the seed given
+    monkeypatch.setattr(experiments, "generate", None)  # no instance may be drawn
+    with pytest.raises(InvalidSpecError, match="seed"):
+        pipeline(instances=1, seed=seed)
+
+
+@pytest.mark.parametrize(
     "pipeline, keyword, value",
     [
         (run_compare, "models", "uniform"),  # not split into letters

@@ -54,6 +54,12 @@ class TestGenSpecValidation:
             pytest.param({"n": 5, "v": True}, id="v-bool"),
             pytest.param({"n": 5, "v": 5, "length_range": (True, 3)}, id="len-min-bool"),
             pytest.param({"n": 5, "v": 5, "length_range": (1, True)}, id="len-max-bool"),
+            # None drew OS entropy, so equal specs differed; the others raised numpy's errors
+            pytest.param({"n": 5, "v": 5, "seed": None}, id="seed-none"),
+            pytest.param({"n": 5, "v": 5, "seed": 1.5}, id="seed-float"),
+            pytest.param({"n": 5, "v": 5, "seed": "x"}, id="seed-str"),
+            pytest.param({"n": 5, "v": 5, "seed": -1}, id="seed-negative"),
+            pytest.param({"n": 5, "v": 5, "seed": True}, id="seed-bool"),
         ],
     )
     def test_bad_specs_rejected(self, kwargs):
@@ -74,8 +80,9 @@ class TestGenSpecValidation:
             {"n": 5, "v": -(10**5000)},
             {"n": 5, "v": 5, "model": 10**5000},
             {"n": 5, "v": 5, "length_range": (-(10**5000), 3)},
+            {"n": 5, "v": 5, "seed": -(10**5000)},
         ],
-        ids=["n", "v", "model", "length-range"],
+        ids=["n", "v", "model", "length-range", "seed"],
     )
     def test_values_too_long_to_print_rejected(self, kwargs):
         # str() refuses an int of over 4,300 digits; the message describes it
@@ -228,5 +235,5 @@ class TestPlackettLuceBallotOnFloats:
         floats_rng, array_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(ballots):
             expected = _parent_plackett_luce_ballot(array_rng, ids, array)
-            assert _plackett_luce_ballot(floats_rng, ids, array.tolist()) == expected
+            assert _plackett_luce_ballot(floats_rng.random, ids, array.tolist()) == expected
         assert floats_rng.random() == array_rng.random()

@@ -159,6 +159,10 @@ class TestCliGen:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gen", "--tasks", "3", "--voters", "2", "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "inst.json"
         assert main(["gen", "--tasks", "3", "--voters", "2", "--out", str(target)]) == 0

@@ -86,6 +86,22 @@ class TestObjectiveScores:
         for objective in Objective:
             assert score(s, triple, objective) == 3 * score(s, single, objective)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_union_scores_the_sum_of_its_parts(self, data):
+        # every objective sums over voters, which reinforcement relies on;
+        # ballots repeat across the parts, so the union holds some twice
+        n = data.draw(st.integers(1, 6))
+        tasks = TaskSet(tuple((f"t{i}", data.draw(st.integers(1, 10))) for i in range(n)))
+        pool = data.draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=4))
+        groups = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2**50)), min_size=1, max_size=4)
+        part_a = PreferenceProfile.of(tasks, *data.draw(groups))
+        part_b = PreferenceProfile.of(tasks, *data.draw(groups))
+        union = PreferenceProfile(tasks, part_a.groups + part_b.groups)
+        s = Schedule(tuple(data.draw(st.permutations(tasks.ids))))
+        for objective in Objective:
+            assert score(s, union, objective) == score(s, part_a, objective) + score(s, part_b, objective)
+
     def test_deviation_against_single_voter(self, example):
         tasks, _ = example
         voter = PreferenceProfile.of(tasks, (("1", "2", "3"), 1))
