@@ -84,10 +84,15 @@ def instance_seed(base: int, *key: int) -> int:
 
     The base seed and every key are reduced mod 2**32 before use, so a base
     of ``2**32`` gives the same children, and the same instances, as ``0``.
+    Each must be an ``int`` (not a ``bool``): anything else raises
+    :class:`InvalidSpecError` rather than being truncated to one.
     """
     import numpy as np  # imported on use: the solve path never loads numpy
 
-    entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
+    for value in (base, *key):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidSpecError(f"instance_seed takes only integers, got {value!r}")
+    entropy = [value & 0xFFFFFFFF for value in (base, *key)]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -494,6 +499,6 @@ def _require_count(name: str, value: int) -> None:
 
 
 def _require_seed(seed: int) -> None:
-    # instance_seed's int() would truncate 1.5, and read True as 1 and "3" as 3
+    # checked up front: a run with no cell to draw never calls instance_seed
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidSpecError(f"seed must be an integer, got {seed!r}")

@@ -6,15 +6,20 @@ and share nothing with it but the public profile, so a property checked
 against them keeps ``score``, the brute-force oracle and the exact solver's
 charges honest from outside.  :func:`reference_compile` builds a valid
 profile's index-space form the plain way, walk by walk, for the compiled
-profile to be checked against.
+profile to be checked against.  :func:`reference_exact_solve` is the
+subset DP with a fill that also counts every subset's optimal completions;
+unlike the kernels it reads the solver's own tables, so it checks the
+solver's separate count of the optima.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 
 from hypothesis import strategies as st
 
-from collective_schedules import Objective, PreferenceProfile, TaskSet
+from collective_schedules import Objective, PreferenceProfile, Schedule, TaskSet
+from collective_schedules.metrics import _compile_profile, _transitions
+from collective_schedules.solver import _optimal_orders, _waiting
 
 
 def completions(order, lengths: tuple[int, ...]) -> list[int]:
@@ -87,6 +92,37 @@ def reference_compile(profile: PreferenceProfile):
         cum_due = list(accumulate(map(mul, sorted_dues, weights), initial=0))
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
     return dues, mults, sum(mults), tables
+
+
+def reference_exact_solve(tasks: TaskSet, profile: PreferenceProfile, objective: Objective, cap: int):
+    """``(optimal_score, optimum_count, representative, optima[:cap])`` from a
+    fill that keeps, beside each subset's best completion cost, the number
+    of its optimal completions in ``ways``."""
+    n = tasks.n
+    rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), Objective(objective))
+    half = n // 2
+    low_waiting, high_waiting = _waiting(0, half), _waiting(half, n)
+    full, low_full = (1 << n) - 1, (1 << half) - 1
+    h, ways = [0] * (full + 1), [1] * (full + 1)
+    for mh in range(len(high_waiting) - 1, -1, -1):
+        base, key, extra, waiting_high = mh << half, high_key[mh], high[mh], high_waiting[mh]
+        # the full set, met first, has no waiting task
+        for ml in range(low_full - (base | low_full == full), -1, -1):
+            mask = base | ml
+            row = rows[low_key[ml] + key]
+            best = None
+            for i, bit in low_waiting[ml] + waiting_high:
+                nxt = mask | bit
+                cand = row[i] + extra[i] + h[nxt]
+                if best is None or cand < best:
+                    best, count = cand, ways[nxt]
+                elif cand == best:
+                    count += ways[nxt]
+            h[mask], ways[mask] = best, count
+    ids = tasks.ids
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, tables))
+    optima = tuple(islice(walk, cap))
+    return h[0], ways[0], optima[0], optima
 
 
 @st.composite

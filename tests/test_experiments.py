@@ -1,6 +1,7 @@
 """Experiment pipelines: report schema, determinism, and per-instance detail."""
 
 import json
+import re
 from statistics import fmean
 
 import pytest
@@ -38,6 +39,21 @@ class TestInstanceSeed:
         assert base != instance_seed(7, 2, 2)
         assert base != instance_seed(7, 1, 3)
         assert base != instance_seed(7, 1)
+
+    def test_reduced_mod_2_to_the_32(self):
+        assert instance_seed(2**32 + 7, -1, 2) == instance_seed(7, 2**32 - 1, 2)
+
+    @pytest.mark.parametrize("value", [1.5, 2.9, True, "3", None], ids=repr)
+    def test_base_and_keys_must_be_ints(self, value):
+        # int() would read 1.5 as 1, 2.9 as 2, True as 1 and "3" as 3
+        for args in ((value,), (0, value), (0, 1, value)):
+            with pytest.raises(InvalidSpecError, match=re.escape(f"instance_seed takes only integers, got {value!r}")):
+                instance_seed(*args)
+
+    @pytest.mark.parametrize("spec", [{"ns": (2.5,)}, {"ns": (True,)}, {"v": 2.5}], ids=repr)
+    def test_pipeline_rejects_a_non_int_key(self, spec):
+        with pytest.raises(InvalidSpecError, match="instance_seed takes only integers"):
+            run_compare(instances=1, **spec)
 
 
 class TestRunCompare:
@@ -267,7 +283,7 @@ def test_instance_count_must_be_a_positive_int(pipeline, count):
 )
 @pytest.mark.parametrize("seed", [1.5, True, "3"])
 def test_seed_must_be_an_int(pipeline, seed, monkeypatch):
-    # int() would run the instances of seed 1, 1 and 3 while the report names the seed given
+    # a truncated seed would run the instances of seed 1, 1 and 3 while the report names the seed given
     monkeypatch.setattr(experiments, "generate", None)  # no instance may be drawn
     with pytest.raises(InvalidSpecError, match="seed"):
         pipeline(instances=1, seed=seed)

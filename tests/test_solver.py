@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from collective_schedules import (
     score,
     solve_exact,
 )
+from reference_kernels import reference_exact_solve
 from test_delta_search import reference_local_search, row_rule_instances, tabulates_rows
 
 MODELS = ("uniform", "plackett-luce")
@@ -261,9 +263,9 @@ class TestReportShape:
 
 
 @st.composite
-def tie_heavy_instances(draw):
-    """Up to 7 tasks of one length and one or two voters: optima tie often."""
-    n = draw(st.integers(1, 7))
+def tie_heavy_instances(draw, max_tasks=7):
+    """Up to ``max_tasks`` tasks of one length and one or two voters: optima tie often."""
+    n = draw(st.integers(1, max_tasks))
     length = draw(st.integers(1, 3))
     tasks = TaskSet.of(*((f"t{i}", length) for i in range(n)))
     v = draw(st.sampled_from((1, 2)))
@@ -287,6 +289,45 @@ class TestCappedEnumeration:
         plain = solve_exact(tasks, profile, objective)
         assert plain.optima is None
         assert plain.optima_complete
+
+
+class TestOptimumCount:
+    """The count walks forward over the transitions that keep the optimum."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_opposite_ballots(self, n):
+        # two exactly opposite voters of unit tasks: every order ties under
+        # pta, and dev and tard each have 2^(n/2) optima
+        tasks = TaskSet.of(*((f"t{i:02d}", 1) for i in range(n)))
+        profile = PreferenceProfile.from_orders(tasks, [tasks.ids, tasks.ids[::-1]])
+        expected = {
+            Objective.SUM_DEVIATION: 2 ** (n // 2),
+            Objective.SUM_TARDINESS: 2 ** (n // 2),
+            Objective.PTA_KENDALL_TAU: math.factorial(n),
+        }
+        for objective, count in expected.items():
+            report = solve_exact(tasks, profile, objective)
+            assert report.optimum_count == count
+            assert report.states_explored == 2**n
+            if n <= 9:
+                oracle = brute_force_oracle(tasks, profile, objective)
+                assert (report.optimal_score, report.optimum_count, report.schedule) == (
+                    oracle.optimal_score,
+                    oracle.optimum_count,
+                    oracle.schedule,
+                )
+            if objective is Objective.PTA_KENDALL_TAU:
+                assert report.schedule.order == tasks.ids
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=tie_heavy_instances(12), objective=st.sampled_from(list(Objective)), data=st.data())
+    def test_matches_the_counting_fill(self, instance, objective, data):
+        tasks, profile = instance
+        cap = data.draw(st.integers(1, 50), label="cap")
+        report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
+        reference = reference_exact_solve(tasks, profile, objective, cap)
+        assert (report.optimal_score, report.optimum_count, report.schedule, report.optima) == reference
+        assert report.optima_complete == (reference[1] <= cap)
 
 
 class TestMemory:
