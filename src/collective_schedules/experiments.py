@@ -28,7 +28,7 @@ from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .metrics import score
-from .model import Objective, PreferenceProfile, TaskSet
+from .model import Objective, PreferenceProfile, TaskSet, _shown
 from .rules import EXACT_RULES
 from .solver import SolveOptions, SolveReport, solve_exact
 
@@ -110,7 +110,7 @@ def _cells(models, ns, vs, instances, seed, length_range):
     after a cell its records are the last ``instances`` ones.
     """
     models = [canonical_model(m) for m in _listed("models", models)]
-    ns, vs = _listed("ns", ns), _listed("vs", vs)
+    ns, vs = _sizes("ns", ns), _sizes("vs", vs)
     _require_count("instances", instances)
     _require_seed(seed)
 
@@ -141,6 +141,7 @@ def run_compare(
     time, so ``sum-dev``'s includes the compile and the due tables it
     shares with ``sum-tard``, and ``pta-kemeny``'s its pair counts.
     """
+    _require_count("v", v)
     models, ns, _, cells = _cells(models, ns, (v,), instances, seed, length_range)
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
@@ -199,6 +200,8 @@ def run_lmt_eval(
     plus the descent, and ``times["sum-dev"]`` the exact solve on the
     shared tables.
     """
+    _require_count("n", n)
+    _require_count("v", v)
     details: list[dict[str, Any]] = []
     *_, cells = _cells((model,), (n,), (v,), instances, seed, length_range)
     ((model, _, _, draws),) = cells
@@ -261,6 +264,8 @@ def run_lrm_audit(
     import numpy as np  # imported on use: the solve path never loads numpy
 
     _require_count("instances", instances)
+    _require_count("n", n)
+    _require_count("v", v)
     _require_seed(seed)
     if reduction not in ("unit", "uniform"):
         raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
@@ -398,6 +403,7 @@ def run_audit_axioms(
     instance is compiled once, and ``times["instance"]`` covers all of it.
     """
     _require_count("cap", cap)
+    _require_count("v", v)
     models, ns, _, cells = _cells(models, ns, (v,), instances, seed, length_range)
     rows: list[ReportRow] = []
     details: list[dict[str, Any]] = []
@@ -493,9 +499,18 @@ def _listed(name: str, values: Iterable[Any]) -> list[Any]:
     return list(values)
 
 
+def _sizes(name: str, values: Iterable[Any]) -> list[int]:
+    # checked before any seed is derived from them, so the message names the argument
+    values = _listed(name, values)
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise InvalidSpecError(f"{name} must hold positive integers, got {_shown(value)}")
+    return values
+
+
 def _require_count(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
+        raise InvalidSpecError(f"{name} must be a positive integer, got {_shown(value)}")
 
 
 def _require_seed(seed: int) -> None:

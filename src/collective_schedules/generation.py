@@ -11,7 +11,10 @@ Two ballot models:
 
 Task lengths are uniform integers over ``length_range`` (default 1..10).
 Everything is driven by one ``numpy`` generator, so equal specs give
-equal instances.
+equal instances.  The uniform ballots are drawn in one call, which shuffles
+each row of a ``v x n`` table of ``arange(n)`` in turn: on numpy's shuffle
+that is the same draws, and the same generator state after, as one
+``rng.permutation(n)`` per voter, which ``tests/test_generation.py`` pins.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
     tasks = TaskSet(tuple((tid, int(length)) for tid, length in zip(ids, lengths)))
 
     if spec.model == MODEL_UNIFORM:
-        ballots = [tuple(ids[i] for i in rng.permutation(spec.n)) for _ in range(spec.v)]
+        # one call shuffles every voter's row: draws as in the module docstring
+        rows = rng.permuted(np.tile(np.arange(spec.n), (spec.v, 1)), axis=1).tolist()
+        ballots = [tuple(map(ids.__getitem__, row)) for row in rows]
     else:
         if spec.utilities is not None:
             utilities = np.asarray(spec.utilities, dtype=float)

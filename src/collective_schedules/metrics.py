@@ -26,7 +26,11 @@ Deviation and tardiness charge each task by its finish time alone
 from the pair counts.  Every reader derives from that: the full score of an
 order (:func:`_evaluator`, for scoring, the brute-force oracle and the local
 search's start), the exact solver's tables (:func:`_transitions`) and the
-local search's swap terms (:func:`_swap_terms`).
+local search's swap terms (:func:`_swap_terms`).  The solver's deviation and
+tardiness rows repeat its two-line formula in :func:`_swept`, one ascending
+sweep per task where a charge per entry would bisect.  ``_finish_charge``
+does no setup beyond binding its closure, since :func:`score` builds an
+evaluator on every call and the local search one set of swap terms per run.
 
 The classical distances between two orders are the unit-length cases
 against a single voter: Kendall tau is ``pta_kendall_tau`` and Spearman's
@@ -37,8 +41,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, compress
+from operator import lt, mul, sub
 
 from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, require_valid_profile
 
@@ -221,9 +225,10 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
     tardiness: the keys are the half masks' loads, ``rows`` maps each
     distinct start (a subset load below the total) to its row of
     :func:`_finish_charge`, and ``high`` is one shared zero row.  Rows are
-    built only while there are at most 2^(n-1) distinct subset loads, so
-    they cost no more charges than they replace, and n times those at most
-    max(2^n, 2^16); otherwise ``rows[start]`` bisects on read.
+    built by one sweep per task over the sorted starts (:func:`_swept`),
+    and only while there are at most 2^(n-1) distinct subset loads, so
+    they hold no more entries than the fill's n 2^(n-1) reads, and n times
+    those at most max(2^n, 2^16); otherwise ``rows[start]`` bisects on read.
     """
     lengths = compiled.lengths
     n = len(lengths)
@@ -253,8 +258,26 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
         if len(starts) > limit:
             break
     else:
-        rows = {start: [charge(i, start) for i in range(n)] for start in starts - {sum(lengths)}}
+        starts = sorted(starts - {sum(lengths)})
+        tardy_only = objective is Objective.SUM_TARDINESS
+        columns = [_swept(table, length, starts, tardy_only) for table, length in zip(compiled.due_tables, lengths)]
+        rows = dict(zip(starts, map(list, zip(*columns))))
     return rows, low_key, high_key, [[0] * n] * len(high_key)
+
+
+def _swept(table, length: int, starts: list[int], tardy_only: bool) -> list[int]:
+    """:func:`_finish_charge` of one task from each of the ascending ``starts``, in
+    one sweep of its due table: ``r`` only rises, to ``bisect_right``'s boundary."""
+    dues, cum_mult, cum_due, total_mult, total_due = table
+    column = []
+    r, last = 0, len(dues)
+    for start in starts:
+        finish = start + length
+        while r < last and dues[r] <= finish:
+            r += 1
+        late = finish * cum_mult[r] - cum_due[r]
+        column.append(late if tardy_only else late + (total_due - cum_due[r]) - finish * (total_mult - cum_mult[r]))
+    return column
 
 
 def _swap_terms(compiled: CompiledProfile, objective: Objective):
@@ -295,16 +318,15 @@ class _RowsOnRead:
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
     """``counts[i][j]``: voters running task ``i`` before task ``j``."""
-    # completions rise strictly along a ballot, so due order is ballot order
-    n = len(compiled.lengths)
-    counts = [[0] * n for _ in range(n)]
-    for due, mult in zip(compiled.dues, compiled.mults):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if due[i] < due[j]:
-                    counts[i][j] += mult
-                else:
-                    counts[j][i] += mult
+    # completions rise strictly along a ballot, so due order is ballot order;
+    # one pass per pair over the task columns, and the voters not ahead are behind
+    mults, voters = compiled.mults, compiled.voter_count
+    columns = list(zip(*compiled.dues))
+    counts = [[0] * len(columns) for _ in columns]
+    for i, column in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            ahead = sum(compress(mults, map(lt, column, columns[j])))
+            counts[i][j], counts[j][i] = ahead, voters - ahead
     return tuple(tuple(row) for row in counts)
 
 

@@ -3,8 +3,8 @@
 The package scores deviation and tardiness from per-task due tables and the
 pairwise objective from pair counts.  These loops read the ballots directly
 and share nothing with it but the public profile, so a property checked
-against them keeps ``score``, the brute-force oracle and the exact solver's
-charges honest from outside.  :func:`reference_compile` builds a valid
+against them keeps ``score``, the brute-force oracle, the exact solver's
+charges and the pair counts (:func:`pair_count_kernel`) honest from outside.  :func:`reference_compile` builds a valid
 profile's index-space form the plain way, walk by walk, for the compiled
 profile to be checked against.  :func:`reference_exact_solve` is the
 subset DP with a fill that also counts every subset's optimal completions;
@@ -57,6 +57,19 @@ def pta_kernel(order, lengths: tuple[int, ...], dues: list[list[int]], mults: li
         for r, a in enumerate(order):
             total += mult * lengths[a] * sum(1 for b in order[r + 1 :] if due[b] < due[a])
     return total
+
+
+def pair_count_kernel(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
+    """``counts[i][j]``: voters whose ballot runs task ``i`` before task ``j``,
+    read off each group's ballot one ordered pair at a time."""
+    index = profile.tasks._index
+    n = profile.tasks.n
+    counts = [[0] * n for _ in range(n)]
+    for ballot, mult in profile.groups:
+        for r, earlier in enumerate(ballot.order):
+            for later in ballot.order[r + 1 :]:
+                counts[index[earlier]][index[later]] += mult
+    return tuple(map(tuple, counts))
 
 
 def kernel_evaluator(profile: PreferenceProfile, objective: Objective):

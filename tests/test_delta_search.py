@@ -34,9 +34,16 @@ from collective_schedules import (
     score,
 )
 from collective_schedules.generation import MODELS
-from collective_schedules.metrics import _compile_profile, _finish_charge, _RowsOnRead, _swap_terms, _transitions
+from collective_schedules.metrics import (
+    _compile_profile,
+    _finish_charge,
+    _pair_counts,
+    _RowsOnRead,
+    _swap_terms,
+    _transitions,
+)
 from collective_schedules.model import _require_permutation
-from reference_kernels import kernel_evaluator, kernel_instances
+from reference_kernels import kernel_evaluator, kernel_instances, pair_count_kernel
 
 
 def reference_local_search(
@@ -262,6 +269,42 @@ class TestTransitionsMatchKernels:
             start += tasks.lengths[a]
 
 
+class TestSweptRows:
+    """Two rows checked by hand as well as against :func:`_finish_charge`: a
+    finish on a wanted completion, and finishes past the last one."""
+
+    # lengths 1, 1, 2, 2: 7 distinct subset loads, within the 2^(n-1) = 8 of the row rule
+    tasks = TaskSet((("t0", 1), ("t1", 1), ("t2", 2), ("t3", 2)))
+
+    def rows(self, *groups):
+        profile = PreferenceProfile.of(self.tasks, *groups)
+        compiled = _compile_profile(profile)
+        rows = {}
+        for objective in (Objective.SUM_DEVIATION, Objective.SUM_TARDINESS):
+            rows[objective] = table = _transitions(compiled, objective)[0]
+            charge = _finish_charge(compiled, objective)
+            assert sorted(table) == [0, 1, 2, 3, 4, 5]
+            assert table == {start: [charge(i, start) for i in range(self.tasks.n)] for start in table}
+        return rows[Objective.SUM_DEVIATION], rows[Objective.SUM_TARDINESS]
+
+    def test_a_finish_equal_to_a_wanted_completion(self):
+        # t0 is wanted at 1 by five voters and at 2 by two
+        dev, tard = self.rows((("t1", "t0", "t2", "t3"), 2), (("t0", "t1", "t2", "t3"), 5))
+        # from 0 it finishes at 1: on time for the five, early by 1 for the two
+        assert (dev[0][0], tard[0][0]) == (2, 0)
+        # from 1 it finishes at 2: late by 1 for the five, on time for the two
+        assert (dev[1][0], tard[1][0]) == (5, 5)
+        # t2 from 2 finishes at 4, where every voter wants it
+        assert (dev[2][2], tard[2][2]) == (0, 0)
+
+    def test_finishes_past_the_last_due(self):
+        # t3 is wanted at 2 by three voters and at 3 by one
+        dev, tard = self.rows((("t3", "t0", "t1", "t2"), 3), (("t0", "t3", "t1", "t2"), 1))
+        assert (dev[0][3], tard[0][3]) == (1, 0)
+        for start, finish in ((2, 4), (4, 6), (5, 7)):
+            assert dev[start][3] == tard[start][3] == 3 * (finish - 2) + (finish - 3)
+
+
 class TestScoresMatchPerVoterKernels:
     """``score`` and the brute-force oracle read the same charges as the
     exact solver; these properties keep both independent of them."""
@@ -303,3 +346,10 @@ class TestPairCountsFromDues:
         for a, b in itertools.permutations(tasks.ids, 2):
             expected = sum(m for s, m in profile.groups if s.position(a) < s.position(b))
             assert matrix.before(a, b) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances(mults=st.integers(1, 3) | st.integers(1, 10**12), max_tasks=9))
+    def test_columns_match_the_per_voter_kernel(self, instance):
+        # each pair counted from the task columns, its reverse as the voters not ahead
+        _, profile = instance
+        assert _pair_counts(_compile_profile(profile)) == pair_count_kernel(profile)

@@ -50,10 +50,39 @@ class TestInstanceSeed:
             with pytest.raises(InvalidSpecError, match=re.escape(f"instance_seed takes only integers, got {value!r}")):
                 instance_seed(*args)
 
-    @pytest.mark.parametrize("spec", [{"ns": (2.5,)}, {"ns": (True,)}, {"v": 2.5}], ids=repr)
-    def test_pipeline_rejects_a_non_int_key(self, spec):
-        with pytest.raises(InvalidSpecError, match="instance_seed takes only integers"):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param({"ns": (2.5,)}, "ns must hold positive integers, got 2.5", id="{'ns': (2.5,)}"),
+            pytest.param({"ns": (True,)}, "ns must hold positive integers, got True", id="{'ns': (True,)}"),
+            pytest.param({"v": 2.5}, "v must be a positive integer, got 2.5", id="{'v': 2.5}"),
+        ],
+    )
+    def test_pipeline_rejects_a_non_int_key(self, spec, message):
+        # named by the argument, before any seed is derived from it
+        with pytest.raises(InvalidSpecError, match=re.escape(message)):
             run_compare(instances=1, **spec)
+
+    @pytest.mark.parametrize(
+        "pipeline, spec, message",
+        [
+            (run_compare, {"ns": (4, 0)}, "ns must hold positive integers, got 0"),
+            (run_compare, {"v": -3}, "v must be a positive integer, got -3"),
+            (run_uniqueness_audit, {"vs": (5, "6")}, "vs must hold positive integers, got '6'"),
+            (run_uniqueness_audit, {"ns": (-(10**5000),)}, "ns must hold positive integers, got <int too long to print>"),
+            (run_audit_axioms, {"v": True}, "v must be a positive integer, got True"),
+            (run_lmt_eval, {"n": 4.0}, "n must be a positive integer, got 4.0"),
+            (run_lmt_eval, {"v": 0}, "v must be a positive integer, got 0"),
+            (run_lrm_audit, {"n": 2.5}, "n must be a positive integer, got 2.5"),
+            (run_lrm_audit, {"v": False}, "v must be a positive integer, got False"),
+            (run_lrm_audit, {"n": -(10**5000)}, "n must be a positive integer, got <int too long to print>"),
+        ],
+        ids=["compare-ns", "compare-v", "uniqueness-vs", "uniqueness-huge-ns", "axioms-v", "lmt-n", "lmt-v", "lrm-n", "lrm-v",
+             "lrm-huge-n"],
+    )
+    def test_pipelines_name_a_bad_size(self, pipeline, spec, message):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            pipeline(instances=1, **spec)
 
 
 class TestRunCompare:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from collective_schedules import (
     GenSpec,
     InvalidSpecError,
+    PreferenceProfile,
     canonical_model,
     generate,
     instance_to_dict,
@@ -157,6 +158,26 @@ class TestGenerate:
         uniform_tasks, _ = generate(GenSpec(6, 4, "uniform", (1, 10), seed=123))
         pl_tasks, _ = generate(GenSpec(6, 4, "plackett-luce", (1, 10), seed=123))
         assert uniform_tasks == pl_tasks
+
+    @pytest.mark.parametrize(
+        "n, v, seed",
+        [(1, 1, 0), (1, 5, 3), (2, 7, 1), (3, 1, 99), (6, 50, 0), (8, 50, 11), (10, 1000, 2), (16, 50, 5)],
+    )
+    def test_uniform_ballots_are_one_permutation_per_voter(self, monkeypatch, n, v, seed):
+        # the one-call draw against its definition, one rng.permutation(n) per
+        # voter after the lengths, and the generator left in the same state
+        import numpy as np
+
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        tasks, profile = generate(GenSpec(n, v, "uniform", (1, 10), seed=seed))
+        (rng,) = made
+        reference = default_rng(seed)
+        assert tasks.lengths == tuple(reference.integers(1, 11, size=n).tolist())
+        ballots = [tuple(tasks.ids[i] for i in reference.permutation(n)) for _ in range(v)]
+        assert profile == PreferenceProfile.from_orders(tasks, ballots)
+        assert rng.random() == reference.random()
 
     def test_uniform_first_position_frequencies(self):
         tasks, profile = generate(GenSpec(5, 10000, "uniform", (1, 10), seed=7))
