@@ -19,10 +19,11 @@ that is the same draws, and the same generator state after, as one
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, TaskSet, _shown
+from .model import PreferenceProfile, Schedule, TaskSet, _shown
 
 MODEL_UNIFORM = "uniform"
 MODEL_PLACKETT_LUCE = "plackett-luce"
@@ -98,23 +99,26 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
     tasks = TaskSet(tuple((tid, int(length)) for tid, length in zip(ids, lengths)))
 
     if spec.model == MODEL_UNIFORM:
-        # one call shuffles every voter's row: draws as in the module docstring
+        # one call shuffles every voter's row: draws as in the module docstring;
+        # the rows are counted and sorted as index tuples, which is the order
+        # PreferenceProfile.from_orders gives the groups, and each group's
+        # ids are looked up once
         rows = rng.permuted(np.tile(np.arange(spec.n), (spec.v, 1)), axis=1).tolist()
-        ballots = [tuple(map(ids.__getitem__, row)) for row in rows]
+        counted = sorted(Counter(map(tuple, rows)).items())
+        groups = tuple((Schedule(tuple(map(ids.__getitem__, row))), mult) for row, mult in counted)
+        return tasks, PreferenceProfile(tasks, groups)
+    if spec.utilities is not None:
+        utilities = np.asarray(spec.utilities, dtype=float)
     else:
-        if spec.utilities is not None:
-            utilities = np.asarray(spec.utilities, dtype=float)
-        else:
-            utilities = 1.0 - rng.random(spec.n)  # uniform on (0, 1]
-        # the same doubles as Python floats, whose arithmetic is cheaper
-        # than numpy scalars' and rounds the same
-        utilities = utilities.tolist()
-        # every pick's uniform from one call: the same doubles, in the same
-        # order, as one rng.random() per pick, at a fraction of the cost;
-        # converted one at a time, so no list of n * v floats is held
-        uniform = map(float, rng.random(spec.n * spec.v)).__next__
-        ballots = [_plackett_luce_ballot(uniform, ids, utilities) for _ in range(spec.v)]
-
+        utilities = 1.0 - rng.random(spec.n)  # uniform on (0, 1]
+    # the same doubles as Python floats, whose arithmetic is cheaper
+    # than numpy scalars' and rounds the same
+    utilities = utilities.tolist()
+    # every pick's uniform from one call: the same doubles, in the same
+    # order, as one rng.random() per pick, at a fraction of the cost;
+    # converted one at a time, so no list of n * v floats is held
+    uniform = map(float, rng.random(spec.n * spec.v)).__next__
+    ballots = [_plackett_luce_ballot(uniform, ids, utilities) for _ in range(spec.v)]
     return tasks, PreferenceProfile.from_orders(tasks, ballots)
 
 

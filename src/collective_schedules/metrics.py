@@ -11,14 +11,16 @@ Three profile metrics drive the aggregation rules:
   wanted b first costs the length of a, the task that was moved ahead.
 
 All scores are exact Python integers.  Scoring, solving, heuristic and
-audit entry points read a :class:`CompiledProfile`, the same ballots in
-task-index space with per-task due tables, built in one walk over the
-ballots that also checks them, and pairwise order counts built on first
-read: scoring one more candidate then costs O(n^2) for the pairwise
-objective and O(n log groups) for the others, not another scan over the
-voters.  One compiled form is kept, for the profile most recently
-compiled: every entry point called on that same profile object reads it
-without checking or compiling again, and the next profile replaces it.
+audit entry points read a :class:`CompiledProfile`: per-task due tables in
+task-index space, built in one walk over the ballots that also checks them,
+and pairwise order counts built from the ballots on first read (by the
+pairwise objective, :func:`pairwise_counts` and the axiom checks; deviation
+and tardiness never walk the ballots twice): scoring one more candidate
+then costs O(n^2) for the pairwise objective and O(n log groups) for the
+others, not another scan over the voters.  One compiled form is kept, for
+the profile most recently compiled: every entry point called on that same
+profile object reads it without checking or compiling again, and the next
+profile replaces it.
 
 Only this module knows each objective, and it computes each cost one way.
 Deviation and tardiness charge each task by its finish time alone
@@ -40,6 +42,7 @@ footrule is ``deviation``, both through :func:`score`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import lt, mul, sub
@@ -102,22 +105,29 @@ def score(schedule: Schedule, profile: PreferenceProfile, objective: Objective) 
 class CompiledProfile:
     """A valid profile in task-index space, built once per instance.
 
-    ``dues[g][i]`` is the completion time voter group ``g`` wants for the
-    task with declared index ``i``; ``mults[g]`` is that group's
-    multiplicity.  ``due_tables[i]`` is ``(sorted_dues, cum_mult, cum_due,
-    total_mult, total_due)``: task ``i``'s distinct wanted completions,
-    sorted, each weighted by the summed multiplicity of the groups wanting
-    it, with cumulative sums that start at 0, so ``cum_mult[r]`` is the
-    weight of the voters wanting one of the ``r`` smallest dues.  Get it
+    ``groups`` is the profile's own ``(schedule, multiplicity)`` pairs and
+    ``mults[g]`` group ``g``'s multiplicity.  ``due_tables[i]`` is
+    ``(sorted_dues, cum_mult, cum_due, total_mult, total_due)``: task
+    ``i``'s distinct wanted completions, sorted, each weighted by the summed
+    multiplicity of the groups wanting it, with cumulative sums that start
+    at 0, so ``cum_mult[r]`` is the weight of the voters wanting one of the
+    ``r`` smallest dues.  :func:`_compile` adds those weights into one list
+    per task indexed by completion time while the n lists of ``total + 1``
+    entries hold at most ``max(n * groups, 256 * n)`` in all: no more than
+    the ballots themselves, or 256 entries per task, which all hold cached
+    small ints.  Past that, it adds them into one dict per task, which costs
+    a profile with a huge total, or few voters and a long total, only its
+    distinct dues.  Get it
     from :func:`_compile_profile`, which keeps the most recent one.  The
-    pair counts (:func:`_pair_counts`) are built on first read and kept, so
-    every rule run on the same profile shares them.  Nothing built from
-    these is kept here: a solve's own tables die with the solve.
+    pair counts (:func:`_pair_counts`) are built from ``groups`` on first
+    read and kept, so every rule run on the same profile shares them.
+    Nothing built from these is kept here: a solve's own tables die with
+    the solve.
     """
 
     tasks: TaskSet
     lengths: tuple[int, ...]
-    dues: list[list[int]]
+    groups: tuple[tuple[Schedule, int], ...]
     mults: list[int]
     voter_count: int
     due_tables: list[tuple[list[int], list[int], list[int], int, int]]
@@ -150,47 +160,51 @@ def _compile_profile(profile: PreferenceProfile) -> CompiledProfile:
 
 
 def _compile(profile: PreferenceProfile) -> CompiledProfile:
-    """One walk over the ballots: each group's completions by task index, added
-    into each task's due weights, and the group checked on the way.
+    """One walk over the ballots: each group's completions added into its tasks'
+    due weights, and the group checked on the way.
 
     A group passes with a multiplicity that is a positive non-bool ``int``
-    and n known ids, none repeated.  Where one fails, the profile goes to
+    and n known ids, none repeated: each id sets its task's bit, and a
+    repeat leaves some bit unset.  Where one fails, the profile goes to
     :func:`require_valid_profile`, which raises on its first defect.
     """
     tasks = profile.tasks
     lengths = tasks.lengths
-    n = len(lengths)
-    weights: list[dict[int, int]] = [{} for _ in lengths]
-    slots = {tid: (i, length, weights[i]) for i, (tid, length) in enumerate(tasks.tasks)}
-    dues: list[list[int]] = []
+    groups = profile.groups
+    n, total = len(lengths), sum(lengths)
+    dense = total < max(len(groups), 256)  # the rule in CompiledProfile's docstring
+    weights = [[0] * (total + 1) if dense else defaultdict(int) for _ in lengths]
+    slots = {tid: (1 << i, length, weights[i]) for i, (tid, length) in enumerate(tasks.tasks)}
+    everyone = (1 << n) - 1
     mults: list[int] = []
     try:
-        for schedule, mult in profile.groups:
+        for schedule, mult in groups:
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1 or len(schedule.order) != n:
                 break
-            due = [0] * n
-            elapsed = 0
+            seen = elapsed = 0
             for tid in schedule.order:
-                i, length, weight = slots[tid]
+                bit, length, weight = slots[tid]
                 elapsed += length
-                due[i] = elapsed
-                weight[elapsed] = weight.get(elapsed, 0) + mult
-            if 0 in due:  # n known ids with a repeat leave a task never run
+                seen |= bit
+                weight[elapsed] += mult
+            if seen != everyone:  # n known ids with a repeat leave a task never run
                 break
-            dues.append(due)
             mults.append(mult)
-    except (KeyError, TypeError):  # an unknown or unhashable id
+    except (KeyError, TypeError, IndexError):  # an unknown or unhashable id, or a repeat run past the total
         pass
-    if not dues or len(dues) < len(profile.groups):
+    if not mults or len(mults) < len(groups):
         require_valid_profile(profile)  # raises on the defect the walk stopped at
     tables = []
     for weight in weights:
-        sorted_dues = sorted(weight)
-        counts = [weight[due] for due in sorted_dues]
+        if dense:
+            sorted_dues, counts = list(compress(range(total + 1), weight)), list(filter(None, weight))
+        else:
+            sorted_dues = sorted(weight)
+            counts = list(map(weight.__getitem__, sorted_dues))
         cum_mult = list(accumulate(counts, initial=0))
         cum_due = list(accumulate(map(mul, sorted_dues, counts), initial=0))
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
-    return CompiledProfile(tasks, lengths, dues, mults, sum(mults), tables)
+    return CompiledProfile(tasks, lengths, groups, mults, sum(mults), tables)
 
 
 def _finish_charge(compiled: CompiledProfile, objective: Objective):
@@ -318,10 +332,13 @@ class _RowsOnRead:
 
 def _pair_counts(compiled: CompiledProfile) -> tuple[tuple[int, ...], ...]:
     """``counts[i][j]``: voters running task ``i`` before task ``j``."""
-    # completions rise strictly along a ballot, so due order is ballot order;
+    # each group's ballot positions by task index, read from the checked groups;
     # one pass per pair over the task columns, and the voters not ahead are behind
-    mults, voters = compiled.mults, compiled.voter_count
-    columns = list(zip(*compiled.dues))
+    mults, voters, index = compiled.mults, compiled.voter_count, compiled.tasks._index
+    columns = [[0] * len(mults) for _ in index]
+    for g, (schedule, _) in enumerate(compiled.groups):
+        for place, tid in enumerate(schedule.order):
+            columns[index[tid]][g] = place
     counts = [[0] * len(columns) for _ in columns]
     for i, column in enumerate(columns):
         for j in range(i + 1, len(columns)):

@@ -86,9 +86,9 @@ def kernel_evaluator(profile: PreferenceProfile, objective: Objective):
 
 
 def reference_compile(profile: PreferenceProfile):
-    """``(dues, mults, voter_count, due_tables)`` of a valid profile, built in
-    two walks over the ballots: the index-space completions, then per task
-    a dict of due weights sorted into cumulative tables."""
+    """``(mults, voter_count, due_tables)`` of a valid profile, built in two
+    walks over the ballots: the index-space completions, then per task a
+    dict of due weights sorted into cumulative tables."""
     tasks = profile.tasks
     lengths = tasks.lengths
     index = tasks._index
@@ -104,7 +104,7 @@ def reference_compile(profile: PreferenceProfile):
         cum_mult = list(accumulate(weights, initial=0))
         cum_due = list(accumulate(map(mul, sorted_dues, weights), initial=0))
         tables.append((sorted_dues, cum_mult, cum_due, cum_mult[-1], cum_due[-1]))
-    return dues, mults, sum(mults), tables
+    return mults, sum(mults), tables
 
 
 def reference_exact_solve(tasks: TaskSet, profile: PreferenceProfile, objective: Objective, cap: int):

@@ -1,7 +1,9 @@
 """Scoring functions and rank distances on hand-checked instances."""
 
+from collections import defaultdict
 from dataclasses import replace
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,9 @@ from collective_schedules import (
     tardiness,
     unanimous_pairs,
 )
+from collective_schedules import metrics
 from collective_schedules.metrics import _compile_profile
-from reference_kernels import reference_compile
+from reference_kernels import pair_count_kernel, reference_compile
 from test_model import Seats, defective_profiles
 
 # Every permutation of the shared example, scored by hand:
@@ -331,6 +334,24 @@ class TestKeptCompiledProfile:
                 assert lrm_probe(b, rule, target, 1) == expected
 
 
+@st.composite
+def rule_sides(draw):
+    """A tiny profile (one to three ballots, some of them repeating an id) on
+    either side of the dense rows rule: lengths up to 4, lengths up to 2^61,
+    or rows one entry inside or past 256 per task; multiplicities up to 2^61."""
+    n = draw(st.integers(1, 5))
+    side = draw(st.sampled_from(["small", "huge", "edge"]))
+    if side == "edge":  # the first task takes the rest of a total at the bound
+        total = 255 + draw(st.integers(0, 1))
+        lengths = [total - n + 1] + [1] * (n - 1)
+    else:
+        lengths = draw(st.lists(st.integers(1, 4 if side == "small" else 2**61), min_size=n, max_size=n))
+    tasks = TaskSet(tuple((f"t{i}", x) for i, x in enumerate(lengths)))
+    ballot = st.permutations(tasks.ids) | st.lists(st.sampled_from(tasks.ids), min_size=n, max_size=n)
+    mult = st.integers(1, 3) | st.integers(1, 2**61)
+    return PreferenceProfile.of(tasks, *draw(st.lists(st.tuples(ballot, mult), min_size=1, max_size=3)))
+
+
 class TestCompileMatchesValidationThenTwoWalks:
     @settings(max_examples=400, deadline=None)
     @given(case=defective_profiles())
@@ -346,10 +367,38 @@ class TestCompileMatchesValidationThenTwoWalks:
         tasks, profile = example
         self.check(PreferenceProfile(tasks, profile.groups + ((profile.groups[0][0], mult),)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=rule_sides())
+    def test_either_side_of_the_dense_rows_rule(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("lengths", [(1, 1, 1), (5, 1, 2), (2**61, 1, 3)])
+    def test_repeats_that_compensate_across_groups(self, lengths):
+        # A runs x twice and lacks y, B runs y twice and lacks x: summed over
+        # the two, every task runs twice, so only a per-group check sees it
+        tasks = TaskSet(tuple(zip(("x", "y", "z"), lengths)))
+        profile = PreferenceProfile.of(tasks, (("x", "x", "z"), 1), (("y", "y", "z"), 1))
+        with pytest.raises(MismatchedTaskSetError, match="group 0 repeats task 'x'"):
+            _compile_profile(profile)
+        self.check(profile)
+
+    @pytest.mark.parametrize("past", [0, 1])
+    @pytest.mark.parametrize("n, groups", [(1, 1), (3, 2), (3, 300)])
+    def test_rows_are_dense_up_to_the_bound(self, n, groups, past):
+        # the n rows of total + 1 entries hold at most max(n * groups, 256 * n)
+        total = max(groups, 256) - 1 + past
+        tasks = TaskSet(tuple((f"t{i}", 1 if i else total - n + 1) for i in range(n)))
+        profile = PreferenceProfile.of(tasks, *((tasks.ids[::-1] if g % 2 else tasks.ids, 1) for g in range(groups)))
+        with mock.patch.object(metrics, "defaultdict", wraps=defaultdict) as dict_rows:
+            _compile_profile(profile)
+        assert dict_rows.called == bool(past)
+        self.check(profile)
+
     @staticmethod
     def check(profile):
-        # a valid profile compiles to the plain two-walk form; an invalid one
-        # raises what require_valid_profile raises, class and message
+        # a valid profile compiles to the plain two-walk form, with the pair
+        # counts of the per-voter kernel; an invalid one raises what
+        # require_valid_profile raises, class and message
         try:
             require_valid_profile(profile)
         except (CollectiveSchedulesError, ValueError) as expected:
@@ -358,5 +407,5 @@ class TestCompileMatchesValidationThenTwoWalks:
             assert type(caught.value) is type(expected) and str(caught.value) == str(expected)
             return
         compiled = _compile_profile(profile)
-        got = (compiled.dues, compiled.mults, compiled.voter_count, compiled.due_tables)
-        assert got == reference_compile(profile)
+        assert (compiled.mults, compiled.voter_count, compiled.due_tables) == reference_compile(profile)
+        assert compiled.pair_counts == pair_count_kernel(profile)
