@@ -232,10 +232,19 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
     For ``mask = mh << n // 2 | ml``, the charge for running task ``i``
     once the tasks in ``mask`` (``i`` not among them) have run is
     ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``; an order's
-    score is the sum of its charges.  Pairwise: the keys pick ``rows[ml]``,
-    every charge once the low-half tasks in ``ml`` have run, and
-    ``high[mh]`` is what the high-half tasks in ``mh`` take off it
-    (2 n 2^(n/2) entries, already scaled by length).  Deviation and
+    score is the sum of its charges, and ``high[mh][i]`` is 0 for every
+    low-half task ``i < n // 2`` under every objective, which the solver's
+    fill relies on.  Pairwise: a pair within one half is charged when its
+    first task runs; a pair split between the halves, when its high-half
+    task runs, at the cost of the order it then has.  The keys pick
+    ``rows[ml]``: once the low-half tasks in ``ml`` have run, every
+    low-half task's charge and each high-half task's split pairs.
+    ``high[mh]`` holds each high-half task's pairs with the high-half tasks
+    that ``mh`` leaves waiting (2 n 2^(n/2) entries, already scaled by
+    length).  So the best completion cost of a subset read from these
+    tables carries the split pairs whose low-half task it has run and whose
+    high-half task waits: an offset per subset, 0 at the empty set, which
+    leaves every transition that keeps the optimum as it was.  Deviation and
     tardiness: the keys are the half masks' loads, ``rows`` maps each
     distinct start (a subset load below the total) to its row of
     :func:`_finish_charge`, and ``high`` is one shared zero row.  Rows are
@@ -248,13 +257,20 @@ def _transitions(compiled: CompiledProfile, objective: Objective):
     n = len(lengths)
     half = n // 2
     if objective is Objective.PTA_KENDALL_TAU:
-        # running i ahead of a waiting j costs lengths[i] per voter wanting j
-        # first, so the charge is lengths[i] times column i summed over the
-        # waiting tasks; rows[m]: the charges once the low-half tasks in m
-        # have run, high[m]: what the high-half ones take off
+        # running i ahead of a waiting k costs waiting[k][i]: lengths[i] per voter
+        # wanting k first; a split pair (low k, high j) costs j waiting[k][j] while
+        # k waits and waiting[j][k] once k has run
         waiting = [list(map(mul, lengths, row)) for row in compiled.pair_counts]
-        rows, high = [[sum(col) for col in zip(*waiting)]], [[0] * n]
-        for sums, vectors in ((rows, waiting[:half]), (high, waiting[half:])):
+        low, highs = waiting[:half], waiting[half:]
+        rows = [list(map(sum, zip([0] * n, *low)))]
+        # the per-bit vectors, in place: low k's row less waiting[j][k] at each
+        # high j, so its bit adds that to j's charge; high j's row, 0 on the low half
+        for w, col in zip(low, zip(*highs)):
+            w[half:] = map(sub, w[half:], col)
+        for w in highs:
+            w[:half] = [0] * half
+        high = [list(map(sum, zip(*highs)))]
+        for sums, vectors in ((rows, low), (high, highs)):
             for vector in vectors:  # the masks with this bit set follow those without
                 sums += [list(map(sub, s, vector)) for s in sums]
         return rows, range(len(rows)), [0] * len(high), high

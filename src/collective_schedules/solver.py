@@ -14,9 +14,10 @@ Two routes to the optimum:
   optimal completions of every subset can be combined bottom-up.  Each
   transition's charge is read in O(1) from tables indexed by the two
   halves of the subset's bitmask (see ``metrics._transitions``), and the
-  fill visits only the waiting tasks, so it costs O(n 2^n).  It keeps
-  only costs: the optima are counted and enumerated afterwards, over the
-  transitions that keep the optimum.
+  fill visits only the waiting tasks, one block of subsets per high half
+  at a time, so it costs O(n 2^n).  It keeps only costs: the optima are
+  counted and enumerated afterwards, over the transitions that keep the
+  optimum.
 
 Both report the same exact integer optimum; ties are always broken toward
 the schedule whose sequence of declared task indices is lexicographically
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice, permutations
 from math import factorial
+from operator import sub
 
 from .errors import TooManyTasksError
 from .metrics import _compile_profile, _evaluator, _transitions
@@ -71,7 +73,9 @@ class SolveReport:
     ``schedule`` is the lexicographically least optimal schedule.
     ``optima`` is ``None`` unless enumeration was requested; when present
     it is sorted lexicographically and ``optima_complete`` says whether it
-    holds every optimum or was cut off at the cap.
+    holds every optimum or was cut off at the cap.  ``phases`` holds the
+    seconds of :func:`solve_exact`'s phases (``None`` from the oracle); it
+    takes no part in comparisons, and no report or CLI output prints it.
     """
 
     objective: Objective
@@ -82,6 +86,7 @@ class SolveReport:
     optima_complete: bool
     states_explored: int
     wall_time_s: float
+    phases: dict[str, float] | None = field(default=None, compare=False)
 
 
 def brute_force_oracle(tasks: TaskSet, profile: PreferenceProfile, objective: Objective) -> SolveReport:
@@ -129,21 +134,27 @@ def solve_exact(
 
     State: the set of tasks already scheduled (as a bitmask over declared
     indices).  Value: the best achievable cost of scheduling the remaining
-    tasks.  Memory and time grow as 2^n, hence the ``max_tasks`` guard.
-    The fill loops over the high half of the mask, then the low half.  For
-    each subset it visits only the waiting tasks, joined from two
-    per-half-mask lists (:func:`_waiting`), and reads each charge from the
-    tables of ``metrics._transitions``.  It keeps only the best cost;
-    :func:`_count_optima` then counts the optima on the subsets of optimal
-    paths alone: 17-20 of the 65,536 on a typical n = 16, v = 50 instance.
-    ``states_explored`` is 2^n, the subsets the fill values.
+    tasks, up to a per-subset offset that is 0 at the empty set (pta defers
+    a split pair's charge, see ``metrics._transitions``).  Memory and time
+    grow as 2^n, hence the ``max_tasks`` guard.  The fill runs one block of
+    masks ``mh << n // 2 | ml`` per high half ``mh``.  It takes, once per
+    block, the slice of the values over the block each waiting high-half
+    task leads to; then, per ``ml``, it takes the least of two loops: over
+    the waiting low-half tasks (whose charges read ``rows`` alone) and over
+    those slices.  It keeps only the best cost; :func:`_count_optima` then
+    counts the optima on the subsets of optimal paths alone: 17-20 of the
+    65,536 on a typical n = 16, v = 50 instance.  ``states_explored`` is
+    2^n, the subsets the fill values.
 
     The count's worst case is an instance on which every order is optimal,
     such as two opposite ballots of unit tasks under pta: it reaches all
-    2^n subsets and costs 2-3 times the fill (0.12-0.15 s against 0.05 s
-    at n = 16 on 2 shared vCPUs).  ``wall_time_s`` covers the whole call,
-    including the compile when ``profile`` is not the kept one and the
-    pair counts when no earlier call on it built them.
+    2^n subsets and costs about 3 times the fill (0.13 s against 0.045 s
+    at n = 16, medians of 12 solves on 2 shared vCPUs).  ``wall_time_s``
+    covers the whole call, including the compile when ``profile`` is not
+    the kept one and the pair counts when no earlier call on it built them.
+    ``phases`` splits it into seconds spent in ``tables`` (that compile,
+    the pair counts and the transition tables), ``fill``, ``count`` and
+    ``walk`` (the representative or the capped optima).
     """
     started = time.perf_counter()
     objective = Objective(objective)
@@ -152,33 +163,49 @@ def solve_exact(
     if n > options.max_tasks:
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
+    marks = [time.perf_counter()]
     rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), objective)
+    marks.append(time.perf_counter())
 
-    # best completion cost of every prefix set, filled from the full set
-    # down: mask = mh << half | ml; the full set's h = 0 is the only entry
-    # read before written
+    # best completion cost of every prefix set, up to a per-subset offset that
+    # is 0 at the empty set, filled from the full set down, one block of
+    # masks mh << half | ml per high half mh; the full set's h = 0 is the
+    # only entry read before written
     half = n // 2
     low_waiting, high_waiting = _waiting(0, half), _waiting(half, n)
-    full, low_full = (1 << n) - 1, (1 << half) - 1
+    full, size = (1 << n) - 1, 1 << half
     h = [0] * (full + 1)
     for mh in range(len(high_waiting) - 1, -1, -1):
-        base, key, extra, waiting_high = mh << half, high_key[mh], high[mh], high_waiting[mh]
+        base, key, extra = mh << half, high_key[mh], high[mh]
+        # per waiting high-half task j: its charge within the high half and
+        # the slice of h over the block it leads to, indexed by ml
+        ahead = []
+        for j, bit in high_waiting[mh]:
+            ahead.append((j, extra[j], h[base | bit : (base | bit) + size]))
         # the full set, met first, has no waiting task
-        for ml in range(low_full - (base | low_full == full), -1, -1):
+        for ml in range(size - 1 - (base | size - 1 == full), -1, -1):
             mask = base | ml
             row = rows[low_key[ml] + key]
             best = None
-            for i, bit in low_waiting[ml] + waiting_high:
-                cand = row[i] + extra[i] + h[mask | bit]
+            for i, bit in low_waiting[ml]:  # high[mh][i] is 0 for a low-half task
+                cand = row[i] + h[mask | bit]
+                if best is None or cand < best:
+                    best = cand
+            for j, e, col in ahead:
+                cand = row[j] + e + col[ml]
                 if best is None or cand < best:
                     best = cand
             h[mask] = best
+    marks.append(time.perf_counter())
 
-    count = _count_optima(n, h, tables)
+    tight = _tight(n, h, tables)
+    count = _count_optima(n, tight)
+    marks.append(time.perf_counter())
     ids = tasks.ids
-    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, tables))
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, tight))
     optima = tuple(islice(walk, options.optimum_cap)) if options.enumerate_all else None
     representative = optima[0] if optima is not None else next(walk)
+    marks.append(time.perf_counter())
 
     return SolveReport(
         objective=objective,
@@ -189,6 +216,7 @@ def solve_exact(
         optima_complete=optima is None or len(optima) == count,
         states_explored=full + 1,
         wall_time_s=time.perf_counter() - started,
+        phases=dict(zip(("tables", "fill", "count", "walk"), map(sub, marks[1:], marks))),
     )
 
 
@@ -216,32 +244,55 @@ def _waiting(first: int, stop: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(p for k, p in enumerate(pairs) if not m >> k & 1) for m in range(1 << (stop - first)))
 
 
-def _count_optima(n, h, tables):
-    """The number of optimal orders, in an exact int.
+def _tight(n, h, tables):
+    """The one test of a transition that keeps the optimum, as ``step(layer)``.
 
-    A forward walk from the empty set, one layer of equal-sized subsets at
-    a time, over the transitions that keep the optimum (the test that
-    :func:`_optimal_orders` applies).  It visits each reached subset once,
-    with the number of optimal prefixes that reach it.
+    ``layer`` maps subsets (masks) to the number of optimal prefixes that
+    reach each; ``step`` returns the same map for the subsets one task
+    larger that those transitions reach from them, the steps from one mask
+    by ascending task index.  Running task ``i`` from ``mask`` keeps the
+    optimum when its charge plus ``h`` of the next subset is ``h[mask]``;
+    the per-subset offset in ``h`` shifts each charge by the offsets of its
+    two ends, so it keeps the same transitions.  The test runs per layer,
+    not in a generator per mask: where every order is optimal the count
+    reaches every subset, and there a generator per mask nearly doubled
+    its time.
     """
     rows, low_key, high_key, high = tables
     half = n // 2
     low_waiting, high_waiting = _waiting(0, half), _waiting(half, n)
     low_full = (1 << half) - 1
-    layer = {0: 1}
-    for _ in range(n):
+
+    def step(layer):
         reached = defaultdict(int)
         for mask, paths in layer.items():
             ml, mh = mask & low_full, mask >> half
             row, extra, target = rows[low_key[ml] + high_key[mh]], high[mh], h[mask]
-            for i, bit in low_waiting[ml] + high_waiting[mh]:
+            for i, bit in low_waiting[ml]:  # high[mh][i] is 0, as in the fill
+                if row[i] + h[nxt := mask | bit] == target:
+                    reached[nxt] += paths
+            for i, bit in high_waiting[mh]:
                 if row[i] + extra[i] + h[nxt := mask | bit] == target:
                     reached[nxt] += paths
-        layer = reached
+        return reached
+
+    return step
+
+
+def _count_optima(n, tight):
+    """The number of optimal orders, in an exact int.
+
+    A forward walk from the empty set, one layer of equal-sized subsets at
+    a time, over the transitions that keep the optimum.  It visits each
+    reached subset once, with the number of optimal prefixes that reach it.
+    """
+    layer = {0: 1}
+    for _ in range(n):
+        layer = tight(layer)
     return layer[(1 << n) - 1]
 
 
-def _optimal_orders(n, h, tables):
+def _optimal_orders(n, tight):
     """Every optimal order of task indices, lexicographically least first.
 
     A depth-first walk over the transitions that keep the optimum, taking
@@ -250,19 +301,12 @@ def _optimal_orders(n, h, tables):
     reference cycle with its closure and keep the 2^n tables alive until
     the cyclic collector ran.
     """
-    rows, low_key, high_key, high = tables
-    full, half = (1 << n) - 1, n // 2
+    full = (1 << n) - 1
     stack = [(0, ())]
     while stack:
         mask, prefix = stack.pop()
         if mask == full:
             yield prefix
             continue
-        ml, mh = mask & (1 << half) - 1, mask >> half
-        row, extra = rows[low_key[ml] + high_key[mh]], high[mh]
         # pushed largest first, so the smallest index is popped first
-        stack.extend(
-            (mask | 1 << i, prefix + (i,))
-            for i in range(n - 1, -1, -1)
-            if not mask & 1 << i and row[i] + extra[i] + h[mask | 1 << i] == h[mask]
-        )
+        stack += [(nxt, prefix + ((nxt ^ mask).bit_length() - 1,)) for nxt in reversed(tight({mask: 1}))]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from collective_schedules import Objective, PreferenceProfile, Schedule, TaskSet
 from collective_schedules.metrics import _compile_profile, _transitions
-from collective_schedules.solver import _optimal_orders, _waiting
+from collective_schedules.solver import _optimal_orders, _tight, _waiting
 
 
 def completions(order, lengths: tuple[int, ...]) -> list[int]:
@@ -133,7 +133,7 @@ def reference_exact_solve(tasks: TaskSet, profile: PreferenceProfile, objective:
                     count += ways[nxt]
             h[mask], ways[mask] = best, count
     ids = tasks.ids
-    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, h, tables))
+    walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, _tight(n, h, tables)))
     optima = tuple(islice(walk, cap))
     return h[0], ways[0], optima[0], optima
 

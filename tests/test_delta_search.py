@@ -245,6 +245,19 @@ class TestTransitionsMatchKernels:
         assert charge_sum(charge, order, tasks.lengths) == kernel_evaluator(profile, objective)(order)
 
     @pytest.mark.parametrize("rows", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_high_half_charges_are_zero_for_low_half_tasks(self, rows, data, objective):
+        # the fill's low loop reads a low-half task's charge from rows alone
+        tasks, profile = data.draw(row_rule_instances(rows))
+        n, half = tasks.n, tasks.n // 2
+        high = _transitions(_compile_profile(profile), objective)[3]
+        assert len(high) == 2 ** (n - half)
+        for row in high:
+            assert len(row) == n
+            assert row[:half] == [0] * half
+
+    @pytest.mark.parametrize("rows", [True, False])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), objective=st.sampled_from(list(Objective)))
     def test_pairs_give_each_swap_and_fallback_rows_sum_to_the_score(self, rows, data, objective):

@@ -1,5 +1,6 @@
 """Exact solvers: optimal scores, tie-breaking, enumeration, and guards."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -252,6 +253,20 @@ class TestReportShape:
         assert report.states_explored == 2 ** tasks.n
         assert report.wall_time_s >= 0.0
 
+    def test_phases_split_the_wall_time(self, example):
+        tasks, profile = example
+        for objective in Objective:
+            # a fresh profile object, so the tables phase includes its compile
+            fresh = PreferenceProfile(tasks, profile.groups)
+            report = solve_exact(tasks, fresh, objective, SolveOptions(enumerate_all=True))
+            assert set(report.phases) == {"tables", "fill", "count", "walk"}
+            assert all(seconds >= 0 for seconds in report.phases.values())
+            assert sum(report.phases.values()) <= report.wall_time_s
+            # the phases take no part in comparisons, and replace keeps them
+            assert dataclasses.replace(report, phases=None) == report
+            assert dataclasses.replace(report, wall_time_s=0.0).phases == report.phases
+        assert brute_force_oracle(tasks, profile, Objective.SUM_DEVIATION).phases is None
+
     def test_single_task_instance(self):
         tasks = TaskSet.of(("only", 4))
         profile = PreferenceProfile.of(tasks, (("only",), 3))
@@ -263,9 +278,9 @@ class TestReportShape:
 
 
 @st.composite
-def tie_heavy_instances(draw, max_tasks=7):
-    """Up to ``max_tasks`` tasks of one length and one or two voters: optima tie often."""
-    n = draw(st.integers(1, max_tasks))
+def tie_heavy_instances(draw, max_tasks=7, min_tasks=1):
+    """``min_tasks`` to ``max_tasks`` tasks of one length and one or two voters: optima tie often."""
+    n = draw(st.integers(min_tasks, max_tasks))
     length = draw(st.integers(1, 3))
     tasks = TaskSet.of(*((f"t{i}", length) for i in range(n)))
     v = draw(st.sampled_from((1, 2)))
@@ -289,6 +304,28 @@ class TestCappedEnumeration:
         plain = solve_exact(tasks, profile, objective)
         assert plain.optima is None
         assert plain.optima_complete
+
+
+class TestBlockFillMatchesOracle:
+    """The fill's per-block slices and pta's split-pair charges at every size
+    from one task (no low half at all) to seven, odd sizes included."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_score_count_representative_and_capped_optima(self, n, data, objective):
+        tasks, profile = data.draw(tie_heavy_instances(n, min_tasks=n))
+        oracle = brute_force_oracle(tasks, profile, objective)
+        count = oracle.optimum_count
+        cap = data.draw(st.integers(1, count + 1), label="cap")
+        report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
+        assert (report.optimal_score, report.optimum_count, report.schedule) == (
+            oracle.optimal_score,
+            count,
+            oracle.schedule,
+        )
+        assert report.optima == oracle.optima[:cap]
+        assert report.optima_complete == (count <= cap)
 
 
 class TestOptimumCount:
