@@ -18,6 +18,10 @@ from collective_schedules.experiments import run_compare, run_lrm_audit
 from collective_schedules.generation import _plackett_luce_ballot
 
 
+# (n, v, seed) triples on which each model's draw is pinned against its definition
+BALLOT_DRAWS = [(1, 1, 0), (1, 5, 3), (2, 7, 1), (3, 1, 99), (6, 50, 0), (8, 50, 11), (10, 1000, 2), (16, 50, 5)]
+
+
 class TestCanonicalModel:
     @pytest.mark.parametrize(
         "alias,expected",
@@ -159,10 +163,7 @@ class TestGenerate:
         pl_tasks, _ = generate(GenSpec(6, 4, "plackett-luce", (1, 10), seed=123))
         assert uniform_tasks == pl_tasks
 
-    @pytest.mark.parametrize(
-        "n, v, seed",
-        [(1, 1, 0), (1, 5, 3), (2, 7, 1), (3, 1, 99), (6, 50, 0), (8, 50, 11), (10, 1000, 2), (16, 50, 5)],
-    )
+    @pytest.mark.parametrize("n, v, seed", BALLOT_DRAWS)
     def test_uniform_ballots_are_one_permutation_per_voter(self, monkeypatch, n, v, seed):
         # the one-call draw against its definition, one rng.permutation(n) per
         # voter after the lengths, and the generator left in the same state
@@ -214,6 +215,26 @@ class TestPlackettLuce:
         top_uniform = max(m for _, m in uniform_profile.groups)
         top_pl = max(m for _, m in pl_profile.groups)
         assert top_pl > top_uniform
+
+
+    @pytest.mark.parametrize("n, v, seed", BALLOT_DRAWS)
+    def test_plackett_luce_ballots_are_grouped_as_from_orders(self, monkeypatch, n, v, seed):
+        # the grouped draw against its definition: the reference ballots drawn
+        # one pick at a time after the lengths and utilities, grouped by
+        # from_orders, and the generator left in the same state
+        import numpy as np
+
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        tasks, profile = generate(GenSpec(n, v, "plackett-luce", (1, 10), seed=seed))
+        (rng,) = made
+        reference = default_rng(seed)
+        assert tasks.lengths == tuple(reference.integers(1, 11, size=n).tolist())
+        utilities = 1.0 - reference.random(n)
+        ballots = [_parent_plackett_luce_ballot(reference, tasks.ids, utilities) for _ in range(v)]
+        assert profile == PreferenceProfile.from_orders(tasks, ballots)
+        assert rng.random() == reference.random()
 
 
 def _parent_plackett_luce_ballot(rng, ids, utilities) -> tuple[str, ...]:

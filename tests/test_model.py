@@ -136,6 +136,39 @@ class TestPreferenceProfile:
         with pytest.raises(UnknownTaskError, match="^unknown task id 'zz'$"):
             PreferenceProfile.from_orders(tasks, orders)
 
+    def test_from_orders_keeps_invalid_ballots_as_groups(self):
+        # a ballot that repeats or misses an id is grouped like any other,
+        # in index order, and left for validate_profile to report
+        tasks = TaskSet.of(("a", 1), ("b", 2), ("c", 3))
+        orders = [("b", "b", "a"), ("a", "b", "c"), ("c", "a"), ("b", "b", "a"), ("a", "b")]
+        profile = PreferenceProfile.from_orders(tasks, orders)
+        assert profile.groups == (
+            (Schedule.of("a", "b"), 1),
+            (Schedule.of("a", "b", "c"), 1),
+            (Schedule.of("b", "b", "a"), 2),
+            (Schedule.of("c", "a"), 1),
+        )
+        report = validate_profile(profile)
+        assert [(d.group, d.code) for d in report.defects] == [
+            (0, "missing-task"),
+            (2, "duplicate-task"),
+            (2, "missing-task"),
+            (3, "missing-task"),
+        ]
+
+    @pytest.mark.parametrize(
+        "orders, named",
+        [
+            ([("a", "b", "c"), ("c", "y", "x"), ("z", "a", "b")], "y"),
+            ([("z", "a"), ("a", "y")], "z"),
+            ([("a", "q"), ("p", "a"), ("a", "q")], "q"),
+        ],
+    )
+    def test_from_orders_names_the_first_unknown_id_in_input_order(self, orders, named):
+        tasks = TaskSet.of(("a", 1), ("b", 2), ("c", 3))
+        with pytest.raises(UnknownTaskError, match=f"^unknown task id '{named}'$"):
+            PreferenceProfile.from_orders(tasks, orders)
+
     def test_equal_ballot_multisets_compare_equal(self):
         tasks = TaskSet.of(("a", 1), ("b", 2))
         one = PreferenceProfile.from_orders(tasks, [("b", "a"), ("a", "b")])
