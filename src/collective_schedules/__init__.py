@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "generation": ("GenSpec", "canonical_model", "generate"),
     "io": (
-        "dump_instance", "dumps_instance", "instance_from_dict", "instance_to_dict", "load_instance",
-        "loads_instance", "read_instance", "write_instance",
+        "dumps_instance", "instance_from_dict", "instance_to_dict", "loads_instance", "read_instance", "write_instance",
     ),
     "rules": ("EXACT_RULES", "HEURISTIC_RULES", "RULE_NAMES", "apply_rule", "rule_name"),
 }

@@ -19,11 +19,10 @@ that is the same draws, and the same generator state after, as one
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, Schedule, TaskSet, _shown
+from .model import PreferenceProfile, TaskSet, _grouped, _shown
 
 MODEL_UNIFORM = "uniform"
 MODEL_PLACKETT_LUCE = "plackett-luce"
@@ -99,14 +98,9 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
     tasks = TaskSet(tuple((tid, int(length)) for tid, length in zip(ids, lengths)))
 
     if spec.model == MODEL_UNIFORM:
-        # one call shuffles every voter's row: draws as in the module docstring;
-        # the rows are counted and sorted as index tuples, which is the order
-        # PreferenceProfile.from_orders gives the groups, and each group's
-        # ids are looked up once
+        # one call shuffles every voter's row: draws as in the module docstring
         rows = rng.permuted(np.tile(np.arange(spec.n), (spec.v, 1)), axis=1).tolist()
-        counted = sorted(Counter(map(tuple, rows)).items())
-        groups = tuple((Schedule(tuple(map(ids.__getitem__, row))), mult) for row, mult in counted)
-        return tasks, PreferenceProfile(tasks, groups)
+        return tasks, _grouped(tasks, map(tuple, rows))
     if spec.utilities is not None:
         utilities = np.asarray(spec.utilities, dtype=float)
     else:
@@ -118,14 +112,13 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
     # order, as one rng.random() per pick, at a fraction of the cost;
     # converted one at a time, so no list of n * v floats is held
     uniform = map(float, rng.random(spec.n * spec.v)).__next__
-    ballots = [_plackett_luce_ballot(uniform, ids, utilities) for _ in range(spec.v)]
-    return tasks, PreferenceProfile.from_orders(tasks, ballots)
+    return tasks, _grouped(tasks, [_plackett_luce_ballot(uniform, utilities) for _ in range(spec.v)])
 
 
-def _plackett_luce_ballot(uniform, ids, utilities) -> tuple[str, ...]:
-    # one uniform() draw per pick, len(ids) in all
-    remaining = list(range(len(ids)))
-    order: list[str] = []
+def _plackett_luce_ballot(uniform, utilities) -> tuple[int, ...]:
+    # one uniform() draw per pick, len(utilities) in all; the ballot's task indices
+    remaining = list(range(len(utilities)))
+    order: list[int] = []
     while remaining:
         weights = [utilities[i] for i in remaining]
         total = sum(weights)
@@ -137,5 +130,5 @@ def _plackett_luce_ballot(uniform, ids, utilities) -> tuple[str, ...]:
             if draw < acc:
                 chosen = pos
                 break
-        order.append(ids[remaining.pop(chosen)])
+        order.append(remaining.pop(chosen))
     return tuple(order)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 from .errors import InstanceFormatError
 from .model import PreferenceProfile, Schedule, TaskSet
@@ -60,16 +60,8 @@ def instance_from_dict(doc: Any) -> Instance:
     return tasks, PreferenceProfile(tasks, tuple(groups))
 
 
-def dump_instance(tasks: TaskSet, profile: PreferenceProfile, out: TextIO) -> None:
-    out.write(dumps_instance(tasks, profile))
-
-
 def dumps_instance(tasks: TaskSet, profile: PreferenceProfile) -> str:
     return json.dumps(instance_to_dict(tasks, profile), indent=2) + "\n"
-
-
-def load_instance(source: TextIO) -> Instance:
-    return _decode(source.read())
 
 
 def loads_instance(text: str) -> Instance:

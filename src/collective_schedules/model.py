@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import DuplicateTaskError, MismatchedTaskSetError, UnknownTaskError
@@ -162,13 +163,12 @@ class PreferenceProfile:
         Groups appear sorted by canonical task indices so that equal ballot
         multisets always produce equal profiles.
         """
-        counted = Counter(tuple(order) for order in orders)
         index = tasks._index
         try:
-            ordered = sorted(counted.items(), key=lambda kv: tuple(index[tid] for tid in kv[0]))
+            rows = [tuple(map(index.__getitem__, order)) for order in orders]
         except KeyError as err:
             raise UnknownTaskError(f"unknown task id {err.args[0]!r}") from None
-        return cls(tasks, tuple((Schedule(o), m) for o, m in ordered))
+        return _grouped(tasks, rows)
 
     @property
     def voter_count(self) -> int:
@@ -202,8 +202,7 @@ def completion_times(schedule: Schedule, tasks: TaskSet) -> dict[str, int]:
     a permutation of ``tasks``.
     """
     order = _require_permutation(schedule, tasks)
-    comp = _completions_by_index(order, tasks.lengths)
-    return {tid: comp[i] for tid, i in zip(schedule.order, order)}
+    return dict(zip(schedule.order, accumulate(map(tasks.lengths.__getitem__, order))))
 
 
 def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
@@ -220,15 +219,19 @@ def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
             defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
         else:
             voters += mult
-        if len(schedule.order) == len(ids) and len(known & schedule.order) == len(ids):
-            continue  # n distinct known ids: nothing unknown, repeated or missing
+        try:  # n distinct known ids: nothing unknown, repeated or missing
+            if len(schedule.order) == len(ids) and len(known & schedule.order) == len(ids):
+                continue
+        except TypeError:  # an unhashable id, reported below as unknown
+            pass
         seen: set[str] = set()
         for tid in schedule.order:
-            if tid not in tasks:
-                defects.append(ProfileDefect(g, "unknown-task", f"group {g} names unknown task {tid!r}"))
+            if not isinstance(tid, str) or tid not in tasks:  # a non-string, say an unhashable list, names no task
+                defects.append(ProfileDefect(g, "unknown-task", f"group {g} names unknown task {_shown(tid)}"))
             elif tid in seen:
                 defects.append(ProfileDefect(g, "duplicate-task", f"group {g} repeats task {tid!r}"))
-            seen.add(tid)
+            else:
+                seen.add(tid)
         missing = [tid for tid in ids if tid not in seen]
         if missing:
             defects.append(ProfileDefect(g, "missing-task", f"group {g} is missing task(s) {missing}"))
@@ -281,13 +284,12 @@ def _require_permutation(schedule: Schedule, tasks: TaskSet) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _completions_by_index(order: tuple[int, ...], lengths: tuple[int, ...]) -> list[int]:
-    comp = [0] * len(order)
-    elapsed = 0
-    for i in order:
-        elapsed += lengths[i]
-        comp[i] = elapsed
-    return comp
+def _grouped(tasks: TaskSet, rows: Iterable[tuple[int, ...]]) -> PreferenceProfile:
+    # the one grouping rule: equal ballots, as rows of task indices, are
+    # counted, and the groups ordered by ascending index tuple
+    ids = tasks.ids
+    counted = sorted(Counter(rows).items())
+    return PreferenceProfile(tasks, tuple((Schedule(tuple(map(ids.__getitem__, row))), mult) for row, mult in counted))
 
 
 def _shown(value: object) -> str:

@@ -216,7 +216,6 @@ class TestPlackettLuce:
         top_pl = max(m for _, m in pl_profile.groups)
         assert top_pl > top_uniform
 
-
     @pytest.mark.parametrize("n, v, seed", BALLOT_DRAWS)
     def test_plackett_luce_ballots_are_grouped_as_from_orders(self, monkeypatch, n, v, seed):
         # the grouped draw against its definition: the reference ballots drawn
@@ -277,5 +276,5 @@ class TestPlackettLuceBallotOnFloats:
         floats_rng, array_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(ballots):
             expected = _parent_plackett_luce_ballot(array_rng, ids, array)
-            assert _plackett_luce_ballot(floats_rng.random, ids, array.tolist()) == expected
+            assert tuple(ids[i] for i in _plackett_luce_ballot(floats_rng.random, array.tolist())) == expected
         assert floats_rng.random() == array_rng.random()

@@ -13,11 +13,9 @@ from collective_schedules import (
     PreferenceProfile,
     Schedule,
     TaskSet,
-    dump_instance,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     loads_instance,
     read_instance,
     write_instance,
@@ -59,14 +57,6 @@ class TestInstanceFormat:
         path = tmp_path / "instance.json"
         write_instance(path, tasks, profile)
         assert read_instance(path) == (tasks, profile)
-
-    def test_stream_round_trip(self, example, tmp_path):
-        tasks, profile = example
-        path = tmp_path / "instance.json"
-        with open(path, "w") as handle:
-            dump_instance(tasks, profile, handle)
-        with open(path) as handle:
-            assert load_instance(handle) == (tasks, profile)
 
     @pytest.mark.parametrize(
         "mutate",

@@ -1,5 +1,6 @@
 """Core data types: task sets, schedules, profiles, and validation."""
 
+import re
 from enum import IntEnum
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from collective_schedules import (
     DuplicateTaskError,
     MismatchedTaskSetError,
+    Objective,
     PreferenceProfile,
     ProfileDefect,
     ProfileValidation,
@@ -16,7 +18,10 @@ from collective_schedules import (
     TaskSet,
     UnknownTaskError,
     completion_times,
+    lmt,
     require_valid_profile,
+    score,
+    solve_exact,
     swap_tasks_in_profile,
     validate_profile,
 )
@@ -223,6 +228,30 @@ class TestValidation:
         profile = PreferenceProfile(tasks, ((Schedule.of("z"), 1),))
         report = validate_profile(profile)
         assert any(d.code == "unknown-task" for d in report.defects)
+
+    @pytest.mark.parametrize(
+        "order, shown",
+        [
+            pytest.param((["a"], "b"), "['a']", id="unhashable"),
+            pytest.param(("a", {"b": 1}), "{'b': 1}", id="unhashable-last"),
+            pytest.param((10**5000, "a", "b"), "<int too long to print>", id="too-long-to-print"),
+        ],
+    )
+    def test_unhashable_or_unprintable_id_is_an_unknown_task(self, order, shown):
+        # an unhashable id raised TypeError from the set and dict lookups; the
+        # scoring entry points now raise what require_valid_profile raises
+        tasks = TaskSet.of(("a", 1), ("b", 2))
+        profile = PreferenceProfile(tasks, ((Schedule(order), 1),))
+        report = validate_profile(profile)
+        assert not report.ok
+        assert report.defects[0] == ProfileDefect(0, "unknown-task", f"group 0 names unknown task {shown}")
+        for call in (
+            lambda: score(Schedule.of("a", "b"), profile, Objective.SUM_DEVIATION),
+            lambda: solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU),
+            lambda: lmt(tasks, profile),
+        ):
+            with pytest.raises(UnknownTaskError, match=f"^group 0 names unknown task {re.escape(shown)}$"):
+                call()
 
     def test_duplicate_task_in_ballot(self):
         tasks = TaskSet.of(("a", 1), ("b", 1))
