@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyTasksError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (CollectiveSchedulesError, ValueError, OSError) as err:
+    except (CollectiveSchedulesError, ValueError, OverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

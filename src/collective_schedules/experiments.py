@@ -23,7 +23,7 @@ from math import inf
 from statistics import fmean
 from typing import Any, Sequence
 
-from .axioms import _consistent_order, _first_inverted, _lrm_verdict, pta_condorcet_constraints, unanimous_pairs
+from .axioms import _first_inverted, _lrm_verdict, find_pta_condorcet_schedule, unanimous_pairs
 from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
@@ -268,7 +268,7 @@ def run_lrm_audit(
     _require_count("v", v)
     _require_seed(seed)
     if reduction not in ("unit", "uniform"):
-        raise InvalidSpecError(f"unknown reduction policy {reduction!r}")
+        raise InvalidSpecError(f"unknown reduction policy {_shown(reduction)}")
     longest = length_range[-1] if isinstance(length_range, (tuple, list)) and len(length_range) == 2 else None
     # GenSpec rejects every other malformed range
     if isinstance(longest, int) and longest < 2:
@@ -411,8 +411,7 @@ def run_audit_axioms(
         for detail, tasks, profile in draws:
             started = time.perf_counter()
             unanimous = unanimous_pairs(profile)
-            # the binding constraints form a tournament: only its consistent order obeys them all
-            consistent = _consistent_order(tasks, [(c.before, c.after) for c in pta_condorcet_constraints(profile)])
+            consistent = find_pta_condorcet_schedule(profile)
             detail.update(has_consistent_schedule=consistent is not None, rules={})
             # pta-kemeny is solved once, for its schedule and, where a
             # consistent schedule exists, for the optima checked below
@@ -495,7 +494,7 @@ def _mean_time(records: Sequence[dict[str, Any]], key: str, include: bool) -> fl
 def _listed(name: str, values: Iterable[Any]) -> list[Any]:
     # a string is iterable, but as a list of models it would be read letter by letter
     if isinstance(values, str) or not isinstance(values, Iterable):
-        raise InvalidSpecError(f"{name} must be a list, got {values!r}")
+        raise InvalidSpecError(f"{name} must be a list, got {_shown(values)}")
     return list(values)
 
 

@@ -80,16 +80,16 @@ class TaskSet:
         return sum(self.lengths)
 
     def index(self, task_id: str) -> int:
-        try:
+        if task_id in self:
             return self._index[task_id]
-        except KeyError:
-            raise UnknownTaskError(f"unknown task id {task_id!r}") from None
+        raise UnknownTaskError(f"unknown task id {_shown(task_id)}")
 
     def length(self, task_id: str) -> int:
         return self.tasks[self.index(task_id)][1]
 
-    def __contains__(self, task_id: str) -> bool:
-        return task_id in self._index
+    def __contains__(self, task_id: object) -> bool:
+        # the one id rule: a non-string, say an unhashable list, names no task
+        return isinstance(task_id, str) and task_id in self._index
 
     def with_length(self, task_id: str, new_length: int) -> "TaskSet":
         """Copy of this task set with one task's length replaced."""
@@ -119,10 +119,9 @@ class Schedule:
         return iter(self.order)
 
     def position(self, task_id: str) -> int:
-        try:
+        if isinstance(task_id, str) and task_id in self.order:
             return self.order.index(task_id)
-        except ValueError:
-            raise UnknownTaskError(f"task {task_id!r} not in schedule") from None
+        raise UnknownTaskError(f"task {_shown(task_id)} not in schedule")
 
     def swap(self, a: str, b: str) -> "Schedule":
         """Schedule with the positions of tasks ``a`` and ``b`` exchanged."""
@@ -163,12 +162,7 @@ class PreferenceProfile:
         Groups appear sorted by canonical task indices so that equal ballot
         multisets always produce equal profiles.
         """
-        index = tasks._index
-        try:
-            rows = [tuple(map(index.__getitem__, order)) for order in orders]
-        except KeyError as err:
-            raise UnknownTaskError(f"unknown task id {err.args[0]!r}") from None
-        return _grouped(tasks, rows)
+        return _grouped(tasks, [tuple(map(tasks.index, order)) for order in orders])
 
     @property
     def voter_count(self) -> int:
@@ -212,31 +206,22 @@ def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
     if not profile.groups:
         defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
     voters = 0
-    ids = tasks.ids
-    known = tasks._index.keys()
     for g, (schedule, mult) in enumerate(profile.groups):
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
         else:
             voters += mult
-        try:  # n distinct known ids: nothing unknown, repeated or missing
-            if len(schedule.order) == len(ids) and len(known & schedule.order) == len(ids):
-                continue
-        except TypeError:  # an unhashable id, reported below as unknown
-            pass
         seen: set[str] = set()
         for tid in schedule.order:
-            if not isinstance(tid, str) or tid not in tasks:  # a non-string, say an unhashable list, names no task
+            if tid not in tasks:
                 defects.append(ProfileDefect(g, "unknown-task", f"group {g} names unknown task {_shown(tid)}"))
             elif tid in seen:
                 defects.append(ProfileDefect(g, "duplicate-task", f"group {g} repeats task {tid!r}"))
             else:
                 seen.add(tid)
-        missing = [tid for tid in ids if tid not in seen]
+        missing = [tid for tid in tasks.ids if tid not in seen]
         if missing:
             defects.append(ProfileDefect(g, "missing-task", f"group {g} is missing task(s) {missing}"))
-    if not defects and voters < 1:
-        defects.append(ProfileDefect(None, "no-voters", "profile has zero voters"))
     return ProfileValidation(ok=not defects, voter_count=voters, task_count=tasks.n, defects=tuple(defects))
 
 
@@ -272,8 +257,8 @@ def _require_permutation(schedule: Schedule, tasks: TaskSet) -> tuple[int, ...]:
     order: list[int] = []
     seen: set[int] = set()
     for tid in schedule.order:
-        if tid not in index:
-            raise UnknownTaskError(f"unknown task id {tid!r} in schedule")
+        if tid not in tasks:
+            raise UnknownTaskError(f"unknown task id {_shown(tid)} in schedule")
         i = index[tid]
         if i in seen:
             raise MismatchedTaskSetError(f"task {tid!r} appears twice in schedule")

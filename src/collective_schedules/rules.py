@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import InvalidSpecError
 from .heuristics import lmt, local_search
-from .model import Objective, PreferenceProfile, Schedule, TaskSet
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _shown
 from .solver import solve_exact
 
 EXACT_RULES: dict[str, Objective] = {
@@ -45,7 +45,7 @@ def rule_name(rule: str | Objective) -> str:
                 return name
     elif rule in RULE_NAMES:
         return rule
-    raise InvalidSpecError(f"unknown rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
+    raise InvalidSpecError(f"unknown rule {_shown(rule)}; expected one of {', '.join(RULE_NAMES)}")
 
 
 def apply_rule(

@@ -324,6 +324,13 @@ class TestReinforcement:
         assert reinforcement_check(part_a, part_b, objective).holds is True
         assert compile_counts == {"compiles": 3 if objective is Objective.SUM_TARDINESS else 2}
 
+    def test_undecided_when_a_part_has_more_optima_than_the_cap(self):
+        # two opposite ballots of unit tasks: both orders are optimal under every objective
+        tasks = TaskSet.of(("a", 1), ("b", 1))
+        tied = PreferenceProfile.of(tasks, (("a", "b"), 1), (("b", "a"), 1))
+        for objective in Objective:
+            assert reinforcement_check(tied, tied, objective, cap=1).holds is None
+
     def test_rejects_mismatched_parts(self, example):
         tasks, profile = example
         other_tasks = TaskSet.of(("1", 2), ("2", 4), ("3", 2))

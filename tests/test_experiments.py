@@ -9,6 +9,8 @@ import pytest
 from collective_schedules import (
     GenSpec,
     InvalidSpecError,
+    Objective,
+    axioms,
     check_unanimity,
     experiments,
     find_pta_condorcet_schedule,
@@ -98,6 +100,12 @@ class TestRunCompare:
             assert row.mean_time is None
         diagonal = [r for r in report.rows if r.metric == "sum-deviation" and r.rule == "sum-dev"]
         assert diagonal[0].mean_ratio == 1.0
+
+    def test_one_voter_makes_every_optimum_zero(self):
+        # every rule returns the one ballot, which scores 0 under every
+        # metric, and a ratio of 0 to an optimum of 0 reads 1.0
+        report = run_compare(models=("u", "c"), ns=(4,), v=1, instances=2, include_times=False)
+        assert [row.mean_ratio for row in report.rows] == [1.0] * 18
 
     def test_csv_and_json_agree(self):
         report = run_compare(models=("u",), ns=(4,), v=5, instances=2, include_times=False)
@@ -198,15 +206,16 @@ class TestRunAuditAxioms:
         assert len(calls) == 3 * len(report.instances)
 
     def test_precedence_lists_built_once_per_instance(self, monkeypatch):
+        # the binding constraints are built inside find_pta_condorcet_schedule
         calls = {"pta_condorcet_constraints": 0, "unanimous_pairs": 0}
-        for name in calls:
-            original = getattr(experiments, name)
+        for module, name in ((axioms, "pta_condorcet_constraints"), (experiments, "unanimous_pairs")):
+            original = getattr(module, name)
 
             def counting(profile, name=name, original=original):
                 calls[name] += 1
                 return original(profile)
 
-            monkeypatch.setattr(experiments, name, counting)
+            monkeypatch.setattr(module, name, counting)
         report = run_audit_axioms(models=("u", "c"), ns=(4, 5), v=9, instances=3,
                                   include_times=False)
         assert any(d["has_consistent_schedule"] for d in report.instances)
@@ -331,6 +340,34 @@ def test_seed_must_be_an_int(pipeline, seed, monkeypatch):
 def test_list_arguments_must_be_lists(pipeline, keyword, value):
     with pytest.raises(InvalidSpecError, match=f"{keyword} must be a list"):
         pipeline(**{keyword: value}, instances=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda huge: rules.apply_rule(huge, *generate(GenSpec(3, 2, "uniform", (1, 3), 0))),
+        lambda huge: lrm_probe(generate(GenSpec(4, 3, "uniform", (2, 5), 0))[1], huge, "t1", 1),
+        lambda huge: run_compare(models=huge, instances=1),
+        lambda huge: run_lrm_audit(reduction=huge, instances=1),
+    ],
+    ids=["apply_rule", "lrm_probe", "compare-models", "lrm-audit-reduction"],
+)
+def test_an_unprintable_spec_value_is_named(call):
+    # repr refuses an int of over 4,300 digits; the message prints a placeholder
+    with pytest.raises(InvalidSpecError, match="<int too long to print>"):
+        call(10**5000)
+
+
+def test_rule_name_maps_an_objective_to_its_exact_rule():
+    assert rules.rule_name(Objective.SUM_DEVIATION) == "sum-dev"
+    assert rules.rule_name(Objective.SUM_TARDINESS) == "sum-tard"
+    assert rules.rule_name(Objective.PTA_KENDALL_TAU) == "pta-kemeny"
+
+
+def test_rule_name_rejects_an_unknown_rule():
+    message = "unknown rule 'median'; expected one of sum-dev, sum-tard, pta-kemeny, lmt, lmt-ls"
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        rules.rule_name("median")
 
 
 # Every report statistic can be recomputed from the report's own instance

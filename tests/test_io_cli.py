@@ -69,6 +69,8 @@ class TestInstanceFormat:
             lambda doc: doc["voters"][0].update(count="2"),
             lambda doc: doc["voters"][0].update(order=[1, 2, 3]),
             lambda doc: doc.update(tasks=[]),
+            lambda doc: doc["tasks"].__setitem__(0, [1]),  # tasks[0] must be an object
+            lambda doc: doc["voters"].__setitem__(0, [1]),  # voters[0] must be an object
         ],
     )
     def test_malformed_documents_rejected(self, example, mutate):
@@ -164,6 +166,12 @@ class TestCliGen:
         assert "error:" in capsys.readouterr().err
         assert main(["gen", "--tasks", "3", "--voters", "5", "--model", "mallows"]) == 2
         assert main(["gen", "--tasks", "3", "--voters", "5", "--len-min", "9", "--len-max", "2"]) == 2
+
+    @pytest.mark.parametrize("command", [["gen"], ["compare", "--models", "u", "--instances", "1"]])
+    def test_voter_count_numpy_cannot_hold_exits_2(self, command, capsys):
+        # np.tile overflows on the count before it allocates anything
+        assert main([*command, "--tasks", "3", "--voters", str(10**20)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCliSolve:
@@ -421,6 +429,8 @@ class TestCliExperiments:
 
     def test_bad_experiment_arguments_exit_2(self, capsys):
         assert main(["compare", "--models", " , ", "--tasks", "4"]) == 2
+        assert main(["compare", "--tasks", "4,x"]) == 2
+        assert "expected comma-separated integers, got '4,x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["compare", "lmt-eval", "lrm-audit", "uniqueness-audit", "audit-axioms"]

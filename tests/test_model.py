@@ -11,14 +11,19 @@ from collective_schedules import (
     DuplicateTaskError,
     MismatchedTaskSetError,
     Objective,
+    PairwiseCountMatrix,
     PreferenceProfile,
     ProfileDefect,
     ProfileValidation,
     Schedule,
     TaskSet,
     UnknownTaskError,
+    check_unanimity,
     completion_times,
+    is_pta_condorcet_consistent,
     lmt,
+    local_search,
+    lrm_probe,
     require_valid_profile,
     score,
     solve_exact,
@@ -279,6 +284,51 @@ class TestValidation:
             require_valid_profile(PreferenceProfile(tasks, ()))
 
 
+ID_RULE_TASKS = TaskSet.of(("a", 1), ("b", 2))
+ID_RULE_PROFILE = PreferenceProfile.of(ID_RULE_TASKS, (("a", "b"), 1), (("b", "a"), 2))
+
+# each entry point, handed one value that is not a task id where an id goes
+ID_RULE_ENTRY_POINTS = {
+    "TaskSet.index": lambda bad: ID_RULE_TASKS.index(bad),
+    "length": lambda bad: ID_RULE_TASKS.length(bad),
+    "with_length": lambda bad: ID_RULE_TASKS.with_length(bad, 3),
+    "from_orders": lambda bad: PreferenceProfile.from_orders(ID_RULE_TASKS, [("a", "b"), (bad, "a")]),
+    "Schedule.position": lambda bad: Schedule.of("a", "b").position(bad),
+    "score": lambda bad: score(Schedule(("a", bad)), ID_RULE_PROFILE, Objective.SUM_DEVIATION),
+    "completion_times": lambda bad: completion_times(Schedule((bad, "a")), ID_RULE_TASKS),
+    "local_search": lambda bad: local_search(Schedule(("a", bad)), ID_RULE_PROFILE, Objective.SUM_DEVIATION),
+    "solve_exact": lambda bad: solve_exact(
+        ID_RULE_TASKS, PreferenceProfile(ID_RULE_TASKS, ((Schedule(("a", bad)), 1),)), Objective.PTA_KENDALL_TAU
+    ),
+    "check_unanimity": lambda bad: check_unanimity(Schedule(("a", bad)), ID_RULE_PROFILE),
+    "is_pta_condorcet_consistent": lambda bad: is_pta_condorcet_consistent(Schedule(("a", bad)), ID_RULE_PROFILE),
+    "lrm_probe": lambda bad: lrm_probe(ID_RULE_PROFILE, "sum-dev", bad, 1),
+    "swap_tasks_in_profile": lambda bad: swap_tasks_in_profile(ID_RULE_PROFILE, "a", bad),
+    "PairwiseCountMatrix.before": lambda bad: PairwiseCountMatrix(ID_RULE_TASKS, ((0, 1), (2, 0)), 3).before("a", bad),
+}
+
+
+class TestIdRule:
+    """A value that is not one of the task set's ids names no task, wherever it is passed."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["a"], {"a": 1}, None, 0, b"a", 10**5000],
+        ids=["list", "dict", "none", "int", "bytes", "int-too-long-to-print"],
+    )
+    @pytest.mark.parametrize("entry", [*ID_RULE_ENTRY_POINTS, "in", "validate_profile"])
+    def test_non_id_is_an_unknown_task(self, entry, bad):
+        shown = _shown(bad)
+        if entry == "in":
+            assert (bad in ID_RULE_TASKS) is False
+        elif entry == "validate_profile":
+            report = validate_profile(PreferenceProfile(ID_RULE_TASKS, ((Schedule(("a", bad)), 1),)))
+            assert report.defects[0] == ProfileDefect(0, "unknown-task", f"group 0 names unknown task {shown}")
+        else:
+            with pytest.raises(UnknownTaskError, match=re.escape(shown)):
+                ID_RULE_ENTRY_POINTS[entry](bad)
+
+
 def reference_validate_profile(profile):
     """The per-id defect loop run on every group, as validation first shipped."""
     tasks = profile.tasks
@@ -370,3 +420,7 @@ class TestSwapTasksInProfile:
     def test_swap_is_involutive(self, example):
         _, profile = example
         assert swap_tasks_in_profile(swap_tasks_in_profile(profile, "1", "2"), "1", "2") == profile
+
+    def test_swapping_a_task_with_itself_returns_the_profile(self, example):
+        _, profile = example
+        assert swap_tasks_in_profile(profile, "2", "2") is profile
