@@ -25,6 +25,8 @@ from .model import (
     PreferenceProfile,
     Schedule,
     TaskSet,
+    _is_int,
+    _shown,
     completion_times,
     swap_tasks_in_profile,
 )
@@ -84,7 +86,11 @@ def find_pta_condorcet_schedule(profile: PreferenceProfile) -> Schedule | None:
     linear extension; otherwise ``None``.
     """
     binding = [(c.before, c.after) for c in pta_condorcet_constraints(profile)]
-    return _consistent_order(profile.tasks, binding)
+    # in a transitive tournament the task at position k heads n-1-k arcs,
+    # so the order by that count is the only candidate
+    heads = Counter(a for a, _ in binding)
+    schedule = Schedule(tuple(sorted(profile.tasks.ids, key=heads.__getitem__, reverse=True)))
+    return schedule if _first_inverted(schedule, profile.tasks, binding) is None else None
 
 
 def unanimous_pairs(profile: PreferenceProfile) -> tuple[tuple[str, str], ...]:
@@ -116,11 +122,11 @@ def lrm_probe(
     _compile_profile(profile)  # rejects an invalid profile first; the rule reads the kept form
     tasks = profile.tasks
     old_length = tasks.length(target)
-    if not isinstance(reduced_length, int) or isinstance(reduced_length, bool):
+    if not _is_int(reduced_length):
         raise InvalidReductionError("reduced length must be an integer")
     if not 1 <= reduced_length < old_length:
         raise InvalidReductionError(
-            f"reduced length must be in [1, {old_length - 1}], got {reduced_length}"
+            f"reduced length must be in [1, {old_length - 1}], got {_shown(reduced_length)}"
         )
     before = apply_rule(rule, tasks, profile)
     reduced = PreferenceProfile(tasks.with_length(target, reduced_length), profile.groups)
@@ -215,11 +221,3 @@ def _first_inverted(
     # computing them rejects a schedule that is not a permutation of tasks
     finish = completion_times(schedule, tasks)
     return next(((a, b) for a, b in precedences if finish[a] > finish[b]), None)
-
-
-def _consistent_order(tasks: TaskSet, binding: list[tuple[str, str]]) -> Schedule | None:
-    # in a transitive tournament the task at position k heads n-1-k arcs,
-    # so the order by that count is the only candidate
-    heads = Counter(a for a, _ in binding)
-    schedule = Schedule(tuple(sorted(tasks.ids, key=heads.__getitem__, reverse=True)))
-    return schedule if _first_inverted(schedule, tasks, binding) is None else None

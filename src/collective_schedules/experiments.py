@@ -28,7 +28,7 @@ from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .metrics import score
-from .model import Objective, PreferenceProfile, TaskSet, _shown
+from .model import Objective, PreferenceProfile, TaskSet, _is_int, _shown
 from .rules import EXACT_RULES
 from .solver import SolveOptions, SolveReport, solve_exact
 
@@ -90,8 +90,8 @@ def instance_seed(base: int, *key: int) -> int:
     import numpy as np  # imported on use: the solve path never loads numpy
 
     for value in (base, *key):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidSpecError(f"instance_seed takes only integers, got {value!r}")
+        if not _is_int(value):
+            raise InvalidSpecError(f"instance_seed takes only integers, got {_shown(value)}")
     entropy = [value & 0xFFFFFFFF for value in (base, *key)]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
@@ -271,8 +271,8 @@ def run_lrm_audit(
         raise InvalidSpecError(f"unknown reduction policy {_shown(reduction)}")
     longest = length_range[-1] if isinstance(length_range, (tuple, list)) and len(length_range) == 2 else None
     # GenSpec rejects every other malformed range
-    if isinstance(longest, int) and longest < 2:
-        raise InvalidSpecError(f"no task can be shortened with lengths in {length_range!r}")
+    if _is_int(longest) and longest < 2:
+        raise InvalidSpecError(f"no task can be shortened with lengths in {_shown(length_range)}")
     details: list[dict[str, Any]] = []
     for i in range(instances):
         model = MODELS[0] if i < (instances + 1) // 2 else MODELS[1]
@@ -502,17 +502,17 @@ def _sizes(name: str, values: Iterable[Any]) -> list[int]:
     # checked before any seed is derived from them, so the message names the argument
     values = _listed(name, values)
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value, 1):
             raise InvalidSpecError(f"{name} must hold positive integers, got {_shown(value)}")
     return values
 
 
 def _require_count(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value, 1):
         raise InvalidSpecError(f"{name} must be a positive integer, got {_shown(value)}")
 
 
 def _require_seed(seed: int) -> None:
     # checked up front: a run with no cell to draw never calls instance_seed
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidSpecError(f"seed must be an integer, got {seed!r}")
+    if not _is_int(seed):
+        raise InvalidSpecError(f"seed must be an integer, got {_shown(seed)}")

@@ -9,7 +9,7 @@ the test suite were computed and frozen.
 from __future__ import annotations
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, Schedule, TaskSet
+from .model import PreferenceProfile, Schedule, TaskSet, _is_int
 
 
 def three_task_example() -> tuple[TaskSet, PreferenceProfile]:
@@ -37,7 +37,7 @@ def deviation_neutrality_counterexample(k: int = 20, v: int = 400) -> tuple[Task
     differently because of their lengths alone.  Requires ``k >= 4`` so the
     two long tasks keep distinct positive lengths, and an even ``v >= 4``.
     """
-    if k < 4 or v < 4 or v % 2:
+    if not (_is_int(k, 4) and _is_int(v, 4)) or v % 2:
         raise InvalidSpecError("need k >= 4 and even v >= 4")
     tasks = TaskSet.of(("a", 1), ("b", 1), ("c", 1), ("d", 2), ("e", k), ("f", k - 2))
     half = v // 2 - 1
@@ -109,10 +109,10 @@ def two_task_tension(k: int | None = None, v: int = 5) -> tuple[TaskSet, Prefere
     it forward delays the short one by ``k``: the instance separates the
     objectives and is the canonical precedence-threshold exercise.
     """
-    if v < 3 or v % 2 == 0:
+    if not _is_int(v, 3) or v % 2 == 0:
         raise InvalidSpecError("need odd v >= 3")
     k = v if k is None else k
-    if k < 1:
+    if not _is_int(k, 1):
         raise InvalidSpecError("need k >= 1")
     tasks = TaskSet.of(("a", 1), ("b", k))
     profile = PreferenceProfile.of(
@@ -133,9 +133,9 @@ def median_trap_family(p: int, n: int, v: int) -> tuple[TaskSet, PreferenceProfi
     t2), whose deviation is smaller by a factor growing linearly in ``p``
     (see :func:`median_trap_scores`).  Requires ``n >= 4``, even ``v >= 4``.
     """
-    if n < 4 or v < 4 or v % 2:
+    if not (_is_int(n, 4) and _is_int(v, 4)) or v % 2:
         raise InvalidSpecError("need n >= 4 and even v >= 4")
-    if p < 1:
+    if not _is_int(p, 1):
         raise InvalidSpecError("need p >= 1")
     width = len(str(n))
     ids = [f"t{i + 1:0{width}d}" for i in range(n)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, TaskSet, _grouped, _shown
+from .model import PreferenceProfile, TaskSet, _grouped, _is_int, _shown
 
 MODEL_UNIFORM = "uniform"
 MODEL_PLACKETT_LUCE = "plackett-luce"
@@ -61,9 +61,9 @@ class GenSpec:
     utilities: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n, 1):
             raise InvalidSpecError(f"need at least one task, got n={_shown(self.n)}")
-        if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 1:
+        if not _is_int(self.v, 1):
             raise InvalidSpecError(f"need at least one voter, got v={_shown(self.v)}")
         if self.model not in MODELS:
             raise InvalidSpecError(f"unknown ballot model {_shown(self.model)}")
@@ -71,7 +71,7 @@ class GenSpec:
             lo, hi = self.length_range
         except (TypeError, ValueError):
             lo = hi = None
-        if any(not isinstance(b, int) or isinstance(b, bool) for b in (lo, hi)) or not 1 <= lo <= hi:
+        if not (_is_int(lo, 1) and _is_int(hi, lo)):
             raise InvalidSpecError(f"bad length range {_shown(self.length_range)}")
         if self.utilities is not None:
             if self.model != MODEL_PLACKETT_LUCE:
@@ -82,7 +82,7 @@ class GenSpec:
                 ok = False
             if not ok:
                 raise InvalidSpecError("need one positive finite utility per task")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not _is_int(self.seed, 0):
             raise InvalidSpecError(f"seed must be a non-negative integer, got {_shown(self.seed)}")
 
 

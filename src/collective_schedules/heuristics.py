@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .metrics import CompiledProfile, _compile_profile, _evaluator, _swap_terms
-from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_permutation, _require_same_tasks
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _is_int, _require_permutation, _require_same_tasks, _shown
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +82,8 @@ def local_search(
     order = list(_require_permutation(schedule, tasks))
     if max_steps is None:
         max_steps = 2 * tasks.n
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
-        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
+    if not _is_int(max_steps):
+        raise ValueError(f"max_steps must be an integer, got {_shown(max_steps)}")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InstanceFormatError
-from .model import PreferenceProfile, Schedule, TaskSet
+from .model import PreferenceProfile, Schedule, TaskSet, _is_int
 
 Instance = tuple[TaskSet, PreferenceProfile]
 
@@ -65,7 +65,11 @@ def dumps_instance(tasks: TaskSet, profile: PreferenceProfile) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    return _decode(text)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as err:  # malformed text, an overlong int, or nesting too deep
+        raise InstanceFormatError(f"not valid JSON: {err}") from err
+    return instance_from_dict(doc)
 
 
 def read_instance(path: str | Path) -> Instance:
@@ -74,25 +78,17 @@ def read_instance(path: str | Path) -> Instance:
         text = data.decode("utf-8")  # JSON exchanged between systems is UTF-8 (RFC 8259)
     except UnicodeDecodeError as err:
         raise InstanceFormatError(f"not UTF-8 text: {err}") from err
-    return _decode(text)
+    return loads_instance(text)
 
 
 def write_instance(path: str | Path, tasks: TaskSet, profile: PreferenceProfile) -> None:
     Path(path).write_text(dumps_instance(tasks, profile))
 
 
-def _decode(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as err:  # malformed text, an overlong int, or nesting too deep
-        raise InstanceFormatError(f"not valid JSON: {err}") from err
-    return instance_from_dict(doc)
-
-
 def _field(obj: dict, name: str, kind: type, where: str = "instance") -> Any:
     if name not in obj:
         raise InstanceFormatError(f"{where} is missing the {name!r} field")
     value = obj[name]
-    if (kind is int and isinstance(value, bool)) or not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise InstanceFormatError(f"{where}.{name} must be {kind.__name__}")
     return value

@@ -48,7 +48,7 @@ class TaskSet:
         for pos, (tid, length) in enumerate(frozen):
             if not isinstance(tid, str) or not tid:
                 raise ValueError(f"task id must be a non-empty string, got {_shown(tid)}")
-            if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+            if not _is_int(length, 1):
                 raise ValueError(f"task {tid!r} needs a positive integer length, got {_shown(length)}")
             if tid in index:
                 raise DuplicateTaskError(f"duplicate task id {tid!r}")
@@ -207,7 +207,7 @@ def validate_profile(profile: PreferenceProfile) -> ProfileValidation:
         defects.append(ProfileDefect(None, "no-voters", "profile has no voter groups"))
     voters = 0
     for g, (schedule, mult) in enumerate(profile.groups):
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+        if not _is_int(mult, 1):
             defects.append(ProfileDefect(g, "bad-multiplicity", f"multiplicity must be a positive integer, got {_shown(mult)}"))
         else:
             voters += mult
@@ -283,6 +283,11 @@ def _shown(value: object) -> str:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+
+
+def _is_int(value: object, least: int | None = None) -> bool:
+    # the one rule for counts, lengths, sizes, caps and seeds: an int or IntEnum, never a bool or numpy integer
+    return isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least)
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

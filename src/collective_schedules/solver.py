@@ -36,7 +36,7 @@ from operator import sub
 
 from .errors import TooManyTasksError
 from .metrics import _compile_profile, _evaluator, _transitions
-from .model import Objective, PreferenceProfile, Schedule, TaskSet, _require_same_tasks
+from .model import Objective, PreferenceProfile, Schedule, TaskSet, _is_int, _require_same_tasks, _shown
 
 ORACLE_MAX_TASKS = 9
 
@@ -57,8 +57,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         for name in ("optimum_cap", "max_tasks"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {_shown(value)}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
 

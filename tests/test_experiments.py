@@ -8,14 +8,17 @@ import pytest
 
 from collective_schedules import (
     GenSpec,
+    InvalidReductionError,
     InvalidSpecError,
     Objective,
+    Schedule,
     axioms,
     check_unanimity,
     experiments,
     find_pta_condorcet_schedule,
     generate,
     is_pta_condorcet_consistent,
+    local_search,
     lrm_probe,
     rules,
     solver,
@@ -355,6 +358,36 @@ def test_list_arguments_must_be_lists(pipeline, keyword, value):
 def test_an_unprintable_spec_value_is_named(call):
     # repr refuses an int of over 4,300 digits; the message prints a placeholder
     with pytest.raises(InvalidSpecError, match="<int too long to print>"):
+        call(10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (
+            lambda huge: lrm_probe(generate(GenSpec(4, 3, "uniform", (2, 5), 0))[1], "sum-dev", "t1", huge),
+            InvalidReductionError,
+        ),
+        (lambda huge: run_compare(seed=[huge], instances=1), InvalidSpecError),
+        (lambda huge: instance_seed(0, [huge]), InvalidSpecError),
+        (lambda huge: run_lrm_audit(length_range=[huge, 1], instances=1), InvalidSpecError),
+        (lambda huge: solver.SolveOptions(optimum_cap=[huge]), ValueError),
+        (
+            lambda huge: local_search(
+                Schedule.of("t1", "t2", "t3"),
+                generate(GenSpec(3, 2, "uniform", (1, 3), 0))[1],
+                Objective.SUM_DEVIATION,
+                max_steps=[huge],
+            ),
+            ValueError,
+        ),
+    ],
+    ids=["lrm_probe-length", "compare-seed", "instance_seed", "lrm-audit-range", "SolveOptions", "local_search"],
+)
+def test_a_rejected_value_too_long_to_print_is_named(call, error):
+    # the call's own error, not repr's ValueError, with a placeholder for the
+    # value (an int of over 4,300 digits, or a list holding one)
+    with pytest.raises(error, match="too long to print>"):
         call(10**5000)
 
 

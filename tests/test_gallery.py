@@ -58,7 +58,7 @@ class TestTwoTaskTension:
             gaps.append(tardiness(dev.schedule, profile) / best)
         assert gaps[0] < gaps[1] < gaps[2]
 
-    @pytest.mark.parametrize("kwargs", [{"v": 4}, {"v": 1}, {"k": 0}])
+    @pytest.mark.parametrize("kwargs", [{"v": 4}, {"v": 1}, {"k": 0}, {"k": 2.5}, {"v": 5.0}, {"k": "5"}, {"k": True}])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidSpecError):
             two_task_tension(**kwargs)
@@ -71,7 +71,7 @@ class TestCounterexampleFixtures:
         assert tasks.length("b") == 1 and tasks.length("e") == 20
         assert profile.voter_count == 400
 
-    @pytest.mark.parametrize("kwargs", [{"k": 3}, {"v": 3}, {"v": 401}])
+    @pytest.mark.parametrize("kwargs", [{"k": 3}, {"v": 3}, {"v": 401}, {"v": 6.0}, {"k": 4.5}, {"k": "5"}, {"v": True}])
     def test_neutrality_fixture_validation(self, kwargs):
         with pytest.raises(InvalidSpecError):
             deviation_neutrality_counterexample(**kwargs)
@@ -123,6 +123,11 @@ class TestMedianTrap:
         {"p": 0, "n": 5, "v": 6},
         {"p": 2, "n": 3, "v": 6},
         {"p": 2, "n": 5, "v": 5},
+        {"p": 2, "n": 4, "v": 4.0},
+        {"p": 2, "n": 4.5, "v": 4},
+        {"p": 2.5, "n": 5, "v": 6},
+        {"p": "2", "n": 5, "v": 6},
+        {"p": True, "n": 5, "v": 6},
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidSpecError):

@@ -110,6 +110,11 @@ class TestGenSpecValidation:
                 lambda: run_lrm_audit(instances=1, n=3, v=3, length_range=5), "bad length range 5", id="lrm-range-int"
             ),
             pytest.param(
+                lambda: run_lrm_audit(instances=1, n=3, v=3, length_range=(1, True)),
+                "bad length range (1, True)",
+                id="lrm-range-bool",
+            ),
+            pytest.param(
                 lambda: GenSpec(3, 5, "plackett-luce", utilities=("a", "b", "c")),
                 "need one positive finite utility per task",
                 id="utilities-str",

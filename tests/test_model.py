@@ -3,6 +3,7 @@
 import re
 from enum import IntEnum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from collective_schedules import (
     swap_tasks_in_profile,
     validate_profile,
 )
-from collective_schedules.model import _shown
+from collective_schedules.model import _is_int, _shown
 
 
 class TestTaskSet:
@@ -367,6 +368,32 @@ class Seats(IntEnum):
 
 good_multiplicities = st.one_of(st.integers(1, 3), st.integers(2**60, 2**62), st.sampled_from([Seats.ONE, Seats.THREE]))
 bad_multiplicities = st.one_of(st.integers(-3, 0), st.booleans(), st.sampled_from([1.0, 2.5, "2", None, Seats.NONE]))
+
+
+class TestIntRule:
+    """``model._is_int`` alone decides what counts as a count, length, size, cap or seed."""
+
+    @pytest.mark.parametrize(
+        "value, least, expected",
+        [
+            (1, None, True),
+            (-(2**64), None, True),
+            (0, 0, True),
+            (0, 1, False),
+            (3, 3, True),
+            (2, 3, False),
+            (Seats.THREE, 1, True),
+            (Seats.NONE, 1, False),
+            (True, None, False),
+            (False, 0, False),
+            (np.int64(3), None, False),
+            (1.0, None, False),
+            ("1", None, False),
+            (None, None, False),
+        ],
+    )
+    def test_accepts_a_non_bool_int_at_least_least(self, value, least, expected):
+        assert _is_int(value, least) is expected
 
 
 @st.composite

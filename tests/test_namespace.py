@@ -1,6 +1,9 @@
-"""The package namespace: ``__all__``, the public names the package binds, and their lazy lookup."""
+"""The package namespace: ``__all__``, the public names the package binds, their lazy lookup, and
+the one integer rule of its source."""
 
+import ast
 import importlib
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -43,3 +46,28 @@ def test_dir_lists_every_exported_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="^module 'collective_schedules' has no attribute 'no_such_name'$"):
         collective_schedules.no_such_name
+
+
+def _bool_checks(tree: ast.AST) -> list[int]:
+    # lines of every isinstance(...) call whose class argument names bool
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(name, "id", None) == "bool" for name in ast.walk(node.args[1]))
+    ]
+
+
+def test_the_integer_rule_is_stated_once():
+    # every "is this an integer" check in the package asks model._is_int
+    found, allowed = [], []
+    for path in sorted(Path(collective_schedules.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}" for line in _bool_checks(tree)]
+        if path.name == "model.py":
+            rule = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_is_int"]
+            allowed += [f"model.py:{line}" for node in rule for line in _bool_checks(node)]
+    assert found == allowed
+    assert len(allowed) == 1
