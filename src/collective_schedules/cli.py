@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 3 when an instance exceeds the exact-solver
 size guard, 2 for invalid input (bad arguments, malformed instance files,
-profiles that fail validation) and for every other package error.
+failed validation, tables too big for memory) and any other package error.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyTasksError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (CollectiveSchedulesError, ValueError, OverflowError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (CollectiveSchedulesError, ValueError, OverflowError, MemoryError, OSError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -15,11 +15,16 @@ equal instances.  The uniform ballots are drawn in one call, which shuffles
 each row of a ``v x n`` table of ``arange(n)`` in turn: on numpy's shuffle
 that is the same draws, and the same generator state after, as one
 ``rng.permutation(n)`` per voter, which ``tests/test_generation.py`` pins.
+The Plackett-Luce ballots take each pick for all voters at once from one
+``v x n`` table of uniforms, with ``cumsum``'s left-to-right totals, not the
+builtin ``sum`` (compensated from 3.12): the same on every supported Python.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InvalidSpecError
 from .model import PreferenceProfile, TaskSet, _grouped, _is_int, _shown
@@ -49,8 +54,8 @@ def canonical_model(name: str) -> str:
 class GenSpec:
     """Parameters of one random instance.
 
-    ``utilities`` overrides the Plackett-Luce utility draw (one positive
-    finite weight per task); it exists so tests can pin degenerate weightings.
+    ``utilities`` overrides the Plackett-Luce utility draw (one positive weight
+    per task, finite in total); it exists so tests can pin degenerate weightings.
     """
 
     n: int
@@ -78,7 +83,9 @@ class GenSpec:
                 raise InvalidSpecError("utilities only apply to the plackett-luce model")
             try:
                 ok = len(self.utilities) == self.n and all(0 < u < float("inf") for u in self.utilities)
-            except TypeError:
+                # the total, folded as the draw folds it: an infinite one picks the last task every time
+                ok = ok and reduce(operator.add, map(float, self.utilities)) < float("inf")
+            except (TypeError, OverflowError):
                 ok = False
             if not ok:
                 raise InvalidSpecError("need one positive finite utility per task")
@@ -99,36 +106,27 @@ def generate(spec: GenSpec) -> tuple[TaskSet, PreferenceProfile]:
 
     if spec.model == MODEL_UNIFORM:
         # one call shuffles every voter's row: draws as in the module docstring
-        rows = rng.permuted(np.tile(np.arange(spec.n), (spec.v, 1)), axis=1).tolist()
-        return tasks, _grouped(tasks, map(tuple, rows))
-    if spec.utilities is not None:
-        utilities = np.asarray(spec.utilities, dtype=float)
+        rows = rng.permuted(np.tile(np.arange(spec.n), (spec.v, 1)), axis=1)
     else:
-        utilities = 1.0 - rng.random(spec.n)  # uniform on (0, 1]
-    # the same doubles as Python floats, whose arithmetic is cheaper
-    # than numpy scalars' and rounds the same
-    utilities = utilities.tolist()
-    # every pick's uniform from one call: the same doubles, in the same
-    # order, as one rng.random() per pick, at a fraction of the cost;
-    # converted one at a time, so no list of n * v floats is held
-    uniform = map(float, rng.random(spec.n * spec.v)).__next__
-    return tasks, _grouped(tasks, [_plackett_luce_ballot(uniform, utilities) for _ in range(spec.v)])
+        # the drawn utilities are uniform on (0, 1]
+        utilities = 1.0 - rng.random(spec.n) if spec.utilities is None else np.asarray(spec.utilities, dtype=float)
+        rows = _plackett_luce_rows(rng.random((spec.v, spec.n)), utilities)
+    return tasks, _grouped(tasks, map(tuple, rows.tolist()))
 
 
-def _plackett_luce_ballot(uniform, utilities) -> tuple[int, ...]:
-    # one uniform() draw per pick, len(utilities) in all; the ballot's task indices
-    remaining = list(range(len(utilities)))
-    order: list[int] = []
-    while remaining:
-        weights = [utilities[i] for i in remaining]
-        total = sum(weights)
-        draw = uniform() * total
-        acc = 0.0
-        chosen = len(remaining) - 1  # guard against float round-off
-        for pos, w in enumerate(weights):
-            acc += w
-            if draw < acc:
-                chosen = pos
-                break
-        order.append(remaining.pop(chosen))
-    return tuple(order)
+def _plackett_luce_rows(uniforms, utilities):
+    # row r's ballot as task indices, its k-th pick drawn with uniforms[r, k]
+    import numpy as np
+    v, n = uniforms.shape
+    weights = np.tile(utilities, (v, 1))
+    rows = np.empty((v, n), dtype=np.intp)
+    for k in range(n):
+        # a picked task weighs 0.0, which adds exactly: left-to-right sums over the remaining tasks
+        acc = np.cumsum(weights, axis=1)
+        draw = uniforms[:, k] * acc[:, -1]
+        # the first column whose total exceeds the draw; if round-off leaves none, the last remaining
+        first = (acc <= draw[:, None]).sum(axis=1)
+        last = n - 1 - (weights[:, ::-1] > 0).argmax(axis=1)
+        rows[:, k] = chosen = np.minimum(first, last)
+        weights[np.arange(v), chosen] = 0.0
+    return rows

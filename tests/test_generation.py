@@ -1,5 +1,9 @@
 """Random instance generation: determinism, validation, and distributions."""
 
+import operator
+from functools import reduce
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,7 @@ from collective_schedules import (
     validate_profile,
 )
 from collective_schedules.experiments import run_compare, run_lrm_audit
-from collective_schedules.generation import _plackett_luce_ballot
+from collective_schedules.generation import _plackett_luce_rows
 
 
 # (n, v, seed) triples on which each model's draw is pinned against its definition
@@ -71,12 +75,22 @@ class TestGenSpecValidation:
         with pytest.raises(InvalidSpecError):
             GenSpec(**kwargs)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
-    def test_non_positive_or_non_finite_utility_rejected(self, bad):
-        # NaN and +inf pass a plain "u <= 0" test; either one used to fix
-        # every ballot to the same order
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            *((bad, 1.0, 1.0, 1.0) for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0)),
+            (1e308,) * 4,
+            (2**1023, 2**1023, 1, 1),
+            (10**400, 1, 1, 1),
+        ],
+        ids=["nan", "inf", "-inf", "0.0", "-1.0", "total-overflows", "int-total-overflows", "int-past-float"],
+    )
+    def test_non_positive_or_non_finite_utility_rejected(self, utilities):
+        # NaN and +inf pass a plain "u <= 0" test, and finite utilities can
+        # total +inf as floats; each one used to fix every ballot to the same
+        # order, and an int past the float range escaped as OverflowError
         with pytest.raises(InvalidSpecError, match="positive finite utility"):
-            GenSpec(4, 5, "plackett-luce", (1, 3), 0, utilities=(bad, 1.0, 1.0, 1.0))
+            GenSpec(4, 5, "plackett-luce", (1, 3), 0, utilities=utilities)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -242,13 +256,14 @@ class TestPlackettLuce:
 
 
 def _parent_plackett_luce_ballot(rng, ids, utilities) -> tuple[str, ...]:
-    # the ballot draw as it read on a numpy array of utilities, kept
-    # verbatim as the reference for the list-of-floats draw
+    # the ballot draw as it read on a numpy array of utilities, one voter and
+    # one pick at a time, kept as the reference for the table draw; its total
+    # folds left to right, as sum() did before Python 3.12 compensated it
     remaining = list(range(len(ids)))
     order: list[str] = []
     while remaining:
         weights = [utilities[i] for i in remaining]
-        total = sum(weights)
+        total = reduce(operator.add, weights)
         draw = rng.random() * total
         acc = 0.0
         chosen = len(remaining) - 1  # guard against float round-off
@@ -273,13 +288,31 @@ class TestPlackettLuceBallotOnFloats:
         seed=st.integers(0, 2**32 - 1),
         ballots=st.integers(1, 5),
     )
-    def test_python_floats_draw_the_numpy_ballots(self, utilities, seed, ballots):
+    def test_table_draw_matches_the_parent_ballots(self, utilities, seed, ballots):
         import numpy as np
 
         array = np.asarray(utilities, dtype=float)
         ids = tuple(f"t{i + 1}" for i in range(len(utilities)))
-        floats_rng, array_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(ballots):
-            expected = _parent_plackett_luce_ballot(array_rng, ids, array)
-            assert tuple(ids[i] for i in _plackett_luce_ballot(floats_rng.random, array.tolist())) == expected
-        assert floats_rng.random() == array_rng.random()
+        table_rng, parent_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = _plackett_luce_rows(table_rng.random((ballots, len(ids))), array).tolist()
+        expected = [_parent_plackett_luce_ballot(parent_rng, ids, array) for _ in range(ballots)]
+        assert [tuple(ids[i] for i in row) for row in rows] == expected
+        assert table_rng.random() == parent_rng.random()
+
+    @pytest.mark.parametrize(
+        "utilities, expected",
+        [((1e16, 1.0, 1.0), (0, 2, 1)), ((5e-324, 5e-324), (1, 0))],
+        ids=["absorbed-weights", "round-off-guard"],
+    )
+    def test_totals_fold_left_to_right_on_every_python(self, utilities, expected):
+        # sum() totals (1e16, 1.0, 1.0) as 1e16 + 2 from Python 3.12 on, and so
+        # would pick the last task first; the left-to-right fold totals 1e16.
+        # The subnormal total leaves no running total above the draw: the
+        # round-off guard takes the highest-index remaining task each time
+        import numpy as np
+
+        uniforms = [1 - 2**-53] * len(utilities)
+        ids = tuple(f"t{i + 1}" for i in range(len(utilities)))
+        reference = SimpleNamespace(random=iter(uniforms).__next__)
+        assert _parent_plackett_luce_ballot(reference, ids, utilities) == tuple(ids[i] for i in expected)
+        assert _plackett_luce_rows(np.array([uniforms]), np.array(utilities)).tolist() == [list(expected)]

@@ -20,7 +20,7 @@ from collective_schedules import (
     read_instance,
     write_instance,
 )
-from collective_schedules import cli, errors
+from collective_schedules import cli, errors, experiments
 from collective_schedules.cli import main
 from collective_schedules.gallery import three_task_example
 from collective_schedules.rules import EXACT_RULES, RULE_NAMES
@@ -172,6 +172,18 @@ class TestCliGen:
         # np.tile overflows on the count before it allocates anything
         assert main([*command, "--tasks", "3", "--voters", str(10**20)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["gen"], ["compare", "--models", "u", "--instances", "1"]])
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB for an array"])
+    def test_table_too_large_for_memory_exits_2(self, command, message, monkeypatch, capsys):
+        # a count numpy can hold but memory cannot: no traceback, one error line
+        def generate(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", generate)
+        monkeypatch.setattr(experiments, "generate", generate)
+        assert main([*command, "--tasks", "3", "--voters", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
 
 
 class TestCliSolve:
