@@ -139,11 +139,11 @@ def reference_exact_solve(tasks: TaskSet, profile: PreferenceProfile, objective:
 
 
 @st.composite
-def kernel_instances(draw, max_tasks=8):
-    """Up to ``max_tasks`` tasks: half of them tie-heavy (one or two voters of
+def kernel_instances(draw, max_tasks=8, min_tasks=1):
+    """``min_tasks`` to ``max_tasks`` tasks: half of them tie-heavy (one or two voters of
     multiplicity one, equal and often unit lengths), the rest with up to five
     groups, multiplicities up to 2^50 and lengths up to 10^12."""
-    n = draw(st.integers(1, max_tasks))
+    n = draw(st.integers(min_tasks, max_tasks))
     length = st.integers(1, 3) | st.integers(1, 10**12)
     if draw(st.booleans()):
         lengths = [draw(st.just(1) | length)] * n

@@ -26,7 +26,7 @@ from collective_schedules import (
     score,
     solve_exact,
 )
-from reference_kernels import reference_exact_solve
+from reference_kernels import kernel_instances, reference_exact_solve
 from test_delta_search import reference_local_search, row_rule_instances, tabulates_rows
 
 MODELS = ("uniform", "plackett-luce")
@@ -365,6 +365,32 @@ class TestOptimumCount:
         reference = reference_exact_solve(tasks, profile, objective, cap)
         assert (report.optimal_score, report.optimum_count, report.schedule, report.optima) == reference
         assert report.optima_complete == (reference[1] <= cap)
+
+
+class TestFillMatchesTheCountingFillWithBigIntegers:
+    """Past the oracle's range, with lengths up to 10^12 and multiplicities up
+    to 2^50; and at one to three tasks, where the low half has no task or
+    one, and the full high half has no subset to fill or one."""
+
+    def check(self, instance, objective, cap):
+        tasks, profile = instance
+        report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
+        reference = reference_exact_solve(tasks, profile, objective, cap)
+        assert (report.optimal_score, report.optimum_count, report.schedule, report.optima) == reference
+        assert report.optima_complete == (reference[1] <= cap)
+        assert report.states_explored == 2**tasks.n
+
+    @settings(max_examples=30, deadline=None)
+    @given(instance=kernel_instances(13, min_tasks=8), objective=st.sampled_from(list(Objective)), data=st.data())
+    def test_eight_to_thirteen_tasks(self, instance, objective, data):
+        self.check(instance, objective, data.draw(st.integers(1, 50), label="cap"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(list(Objective)))
+    def test_one_to_three_tasks(self, n, data, objective):
+        instance = data.draw(kernel_instances(n, min_tasks=n), label="instance")
+        self.check(instance, objective, data.draw(st.integers(1, 7), label="cap"))
 
 
 class TestMemory:
