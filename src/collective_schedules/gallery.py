@@ -9,7 +9,7 @@ the test suite were computed and frozen.
 from __future__ import annotations
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, Schedule, TaskSet, _is_int
+from .model import PreferenceProfile, Schedule, TaskSet, _is_int, _require_sizes
 
 
 def three_task_example() -> tuple[TaskSet, PreferenceProfile]:
@@ -39,6 +39,7 @@ def deviation_neutrality_counterexample(k: int = 20, v: int = 400) -> tuple[Task
     """
     if not (_is_int(k, 4) and _is_int(v, 4)) or v % 2:
         raise InvalidSpecError("need k >= 4 and even v >= 4")
+    _require_sizes(v=v)
     tasks = TaskSet.of(("a", 1), ("b", 1), ("c", 1), ("d", 2), ("e", k), ("f", k - 2))
     half = v // 2 - 1
     profile = PreferenceProfile.of(
@@ -111,6 +112,7 @@ def two_task_tension(k: int | None = None, v: int = 5) -> tuple[TaskSet, Prefere
     """
     if not _is_int(v, 3) or v % 2 == 0:
         raise InvalidSpecError("need odd v >= 3")
+    _require_sizes(v=v)
     k = v if k is None else k
     if not _is_int(k, 1):
         raise InvalidSpecError("need k >= 1")
@@ -135,6 +137,7 @@ def median_trap_family(p: int, n: int, v: int) -> tuple[TaskSet, PreferenceProfi
     """
     if not (_is_int(n, 4) and _is_int(v, 4)) or v % 2:
         raise InvalidSpecError("need n >= 4 and even v >= 4")
+    _require_sizes(n=n, v=v)
     if not _is_int(p, 1):
         raise InvalidSpecError("need p >= 1")
     width = len(str(n))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InvalidSpecError
-from .model import PreferenceProfile, TaskSet, _grouped, _is_int, _shown
+from .model import PreferenceProfile, TaskSet, _grouped, _is_int, _require_sizes, _shown
 
 MODEL_UNIFORM = "uniform"
 MODEL_PLACKETT_LUCE = "plackett-luce"
@@ -70,6 +70,7 @@ class GenSpec:
             raise InvalidSpecError(f"need at least one task, got n={_shown(self.n)}")
         if not _is_int(self.v, 1):
             raise InvalidSpecError(f"need at least one voter, got v={_shown(self.v)}")
+        _require_sizes(n=self.n, v=self.v)
         if self.model not in MODELS:
             raise InvalidSpecError(f"unknown ballot model {_shown(self.model)}")
         try:

@@ -11,13 +11,14 @@ used for every lexicographic tie-break in the package.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import DuplicateTaskError, MismatchedTaskSetError, UnknownTaskError
+from .errors import DuplicateTaskError, InvalidSpecError, MismatchedTaskSetError, UnknownTaskError
 
 
 class Objective(str, Enum):
@@ -288,6 +289,13 @@ def _shown(value: object) -> str:
 def _is_int(value: object, least: int | None = None) -> bool:
     # the one rule for counts, lengths, sizes, caps and seeds: an int or IntEnum, never a bool or numpy integer
     return isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least)
+
+
+def _require_sizes(**sizes: int) -> None:
+    # the one ceiling for counts of tasks or voters past _is_int: sys.maxsize, the longest list or array
+    for name, value in sizes.items():
+        if value > sys.maxsize:
+            raise InvalidSpecError(f"{name} must be at most sys.maxsize ({sys.maxsize}), got {name}={_shown(value)}")
 
 
 def _require_same_tasks(tasks: TaskSet, profile: PreferenceProfile) -> None:

@@ -136,14 +136,17 @@ def solve_exact(
     indices).  Value: the best achievable cost of scheduling the remaining
     tasks, up to a per-subset offset that is 0 at the empty set (pta defers
     a split pair's charge, see ``metrics._transitions``).  Memory and time
-    grow as 2^n, hence the ``max_tasks`` guard.  The fill runs one block of
-    masks ``mh << n // 2 | ml`` per high half ``mh``.  It takes, once per
-    block, the slice of the values over the block each waiting high-half
-    task leads to; then, per ``ml``, it takes the least of two loops: over
-    the waiting low-half tasks (whose charges read ``rows`` alone) and over
-    those slices.  It keeps only the best cost; :func:`_count_optima` then
-    counts the optima on the subsets of optimal paths alone: 17-20 of the
-    65,536 on a typical n = 16, v = 50 instance.  ``states_explored`` is
+    grow as 2^n, hence the ``max_tasks`` guard.  The fill values one block of
+    masks ``mh << n // 2 | ml`` per high half ``mh`` at a time, in one short
+    list indexed by ``ml`` and copied into ``h`` when done.  Once per block it
+    slices the values over the block each waiting high-half task leads to;
+    then, per ``ml``, it takes the least of two loops, starting from one
+    slice's candidate: over the slices, and over the waiting low-half tasks,
+    whose charges read ``rows`` alone and whose targets ``ml | 1 << i`` in
+    the block come from a table kept across solves.  The full high half,
+    where only low-half tasks wait, is its own loop.  :func:`_count_optima`
+    then counts the optima on the subsets of optimal paths alone: 17-20 of
+    the 65,536 on a typical n = 16, v = 50 instance.  ``states_explored`` is
     2^n, the subsets the fill values.
 
     The count's worst case is an instance on which every order is optimal,
@@ -152,9 +155,10 @@ def solve_exact(
     at n = 16, medians of 12 solves on 2 shared vCPUs).  ``wall_time_s``
     covers the whole call, including the compile when ``profile`` is not
     the kept one and the pair counts when no earlier call on it built them.
-    ``phases`` splits it into seconds spent in ``tables`` (that compile,
-    the pair counts and the transition tables), ``fill``, ``count`` and
-    ``walk`` (the representative or the capped optima).
+    ``phases`` splits it into seconds spent in ``compile`` (that profile
+    check and compile), ``tables`` (the pair counts and the transition
+    tables), ``fill``, ``count`` and ``walk`` (the representative or the
+    capped optima).
     """
     started = time.perf_counter()
     objective = Objective(objective)
@@ -164,38 +168,51 @@ def solve_exact(
         raise TooManyTasksError(f"exact solver limited to {options.max_tasks} tasks, got {n}")
     _require_same_tasks(tasks, profile)
     marks = [time.perf_counter()]
-    rows, low_key, high_key, high = tables = _transitions(_compile_profile(profile), objective)
+    compiled = _compile_profile(profile)
+    marks.append(time.perf_counter())
+    rows, low_key, high_key, high = tables = _transitions(compiled, objective)
     marks.append(time.perf_counter())
 
-    # best completion cost of every prefix set, up to a per-subset offset that
-    # is 0 at the empty set, filled from the full set down, one block of
-    # masks mh << half | ml per high half mh; the full set's h = 0 is the
-    # only entry read before written
+    # best completion cost of every prefix set, up to a per-subset offset 0 at the
+    # empty set, from the full set down: one block of masks mh << half | ml per high
+    # half mh, each valued in the one list hb, indexed by ml, then copied into h
     half = n // 2
-    low_waiting, high_waiting = _waiting(0, half), _waiting(half, n)
-    full, size = (1 << n) - 1, 1 << half
-    h = [0] * (full + 1)
-    for mh in range(len(high_waiting) - 1, -1, -1):
+    targets, high_waiting = _low_targets(half), _waiting(half, n)
+    size, top, h = 1 << half, len(high_waiting) - 1, [0] * (1 << n)
+    # the full high half: only low-half tasks wait, and its full set has h = 0;
+    # each subset starts from its first waiting task, which the loop meets again
+    key, hb = high_key[top], [0] * size
+    for ml in range(size - 2, -1, -1):
+        row, waiting = rows[low_key[ml] + key], targets[ml]
+        i, nl = waiting[0]
+        best = row[i] + hb[nl]
+        for i, nl in waiting:
+            cand = row[i] + hb[nl]
+            if cand < best:
+                best = cand
+        hb[ml] = best
+    h[top << half :] = hb
+    for mh in range(top - 1, -1, -1):
         base, key, extra = mh << half, high_key[mh], high[mh]
-        # per waiting high-half task j: its charge within the high half and
-        # the slice of h over the block it leads to, indexed by ml
+        # per waiting high-half task j: its charge within the high half and the
+        # slice of h over the block it leads to; the last one starts every best
         ahead = []
         for j, bit in high_waiting[mh]:
             ahead.append((j, extra[j], h[base | bit : (base | bit) + size]))
-        # the full set, met first, has no waiting task
-        for ml in range(size - 1 - (base | size - 1 == full), -1, -1):
-            mask = base | ml
+        j0, e0, col0 = ahead.pop()
+        for ml in range(size - 1, -1, -1):
             row = rows[low_key[ml] + key]
-            best = None
-            for i, bit in low_waiting[ml]:  # high[mh][i] is 0 for a low-half task
-                cand = row[i] + h[mask | bit]
-                if best is None or cand < best:
-                    best = cand
+            best = row[j0] + e0 + col0[ml]
             for j, e, col in ahead:
                 cand = row[j] + e + col[ml]
-                if best is None or cand < best:
+                if cand < best:
                     best = cand
-            h[mask] = best
+            for i, nl in targets[ml]:  # high[mh][i] is 0 for a low-half task
+                cand = row[i] + hb[nl]
+                if cand < best:
+                    best = cand
+            hb[ml] = best
+        h[base : base + size] = hb
     marks.append(time.perf_counter())
 
     tight = _tight(n, h, tables)
@@ -214,9 +231,9 @@ def solve_exact(
         optimum_count=count,
         optima=optima,
         optima_complete=optima is None or len(optima) == count,
-        states_explored=full + 1,
+        states_explored=len(h),
         wall_time_s=time.perf_counter() - started,
-        phases=dict(zip(("tables", "fill", "count", "walk"), map(sub, marks[1:], marks))),
+        phases=dict(zip(("compile", "tables", "fill", "count", "walk"), map(sub, marks[1:], marks))),
     )
 
 
@@ -242,6 +259,12 @@ def _waiting(first: int, stop: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     solves: a few thousand short tuples in all for every half of up to 20 tasks."""
     pairs = [(i, 1 << i) for i in range(first, stop)]
     return tuple(tuple(p for k, p in enumerate(pairs) if not m >> k & 1) for m in range(1 << (stop - first)))
+
+
+@cache
+def _low_targets(half: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per low-half mask ``ml``: :func:`_waiting`'s pairs with ``ml | 1 << i`` for ``1 << i``."""
+    return tuple(tuple((i, ml | bit) for i, bit in waiting) for ml, waiting in enumerate(_waiting(0, half)))
 
 
 def _tight(n, h, tables):

@@ -1,5 +1,7 @@
 """Hand-built instances: tension between objectives and heuristic traps."""
 
+import sys
+
 import pytest
 
 from collective_schedules import (
@@ -132,3 +134,20 @@ class TestMedianTrap:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidSpecError):
             median_trap_family(**kwargs)
+
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            # len(str(n)) raised ValueError past 4,300 digits
+            (lambda: median_trap_family(2, 10**5000, 4), "n=<int too long to print>"),
+            (lambda: median_trap_family(2, 4, 2 * sys.maxsize), f"v={2 * sys.maxsize}"),
+            (lambda: two_task_tension(v=2 * sys.maxsize + 1), f"v={2 * sys.maxsize + 1}"),
+            (lambda: deviation_neutrality_counterexample(v=2 * sys.maxsize), f"v={2 * sys.maxsize}"),
+        ],
+        ids=["median-trap-n", "median-trap-v", "tension-v", "neutrality-v"],
+    )
+    def test_sizes_past_the_ceiling_rejected(self, call, shown):
+        name = shown[0]
+        with pytest.raises(InvalidSpecError) as raised:
+            call()
+        assert str(raised.value) == f"{name} must be at most sys.maxsize ({sys.maxsize}), got {shown}"

@@ -1,6 +1,7 @@
 """Random instance generation: determinism, validation, and distributions."""
 
 import operator
+import sys
 from functools import reduce
 from types import SimpleNamespace
 
@@ -107,6 +108,15 @@ class TestGenSpecValidation:
         # str() refuses an int of over 4,300 digits; the message describes it
         with pytest.raises(InvalidSpecError, match="too long to print"):
             GenSpec(**kwargs)
+
+    @pytest.mark.parametrize("name, kwargs", [("n", {"n": 10**30, "v": 1}), ("v", {"n": 5, "v": 10**30})], ids=["n", "v"])
+    def test_sizes_past_the_ceiling_rejected(self, name, kwargs):
+        # generate raised numpy's "Maximum allowed dimension exceeded" and an OverflowError
+        with pytest.raises(InvalidSpecError, match=rf"^{name} must be at most sys.maxsize \({sys.maxsize}\), got {name}={10**30}$"):
+            GenSpec(**kwargs)
+
+    def test_sizes_at_the_ceiling_accepted(self):
+        assert GenSpec(sys.maxsize, sys.maxsize).n == sys.maxsize
 
     @pytest.mark.parametrize(
         "call, message",
