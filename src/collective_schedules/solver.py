@@ -151,7 +151,7 @@ def solve_exact(
 
     The count's worst case is an instance on which every order is optimal,
     such as two opposite ballots of unit tasks under pta: it reaches all
-    2^n subsets and costs about 3 times the fill (0.13 s against 0.045 s
+    2^n subsets and costs about 3 times the fill (0.11 s against 0.034 s
     at n = 16, medians of 12 solves on 2 shared vCPUs).  ``wall_time_s``
     covers the whole call, including the compile when ``profile`` is not
     the kept one and the pair counts when no earlier call on it built them.
