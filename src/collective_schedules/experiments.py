@@ -28,7 +28,7 @@ from .errors import InvalidSpecError
 from .generation import MODELS, GenSpec, canonical_model, generate
 from .heuristics import lmt, local_search
 from .metrics import score
-from .model import Objective, PreferenceProfile, TaskSet, _is_int, _shown
+from .model import Objective, PreferenceProfile, TaskSet, _is_int, _require_sizes, _shown
 from .rules import EXACT_RULES
 from .solver import SolveOptions, SolveReport, solve_exact
 
@@ -403,6 +403,7 @@ def run_audit_axioms(
     instance is compiled once, and ``times["instance"]`` covers all of it.
     """
     _require_count("cap", cap)
+    _require_sizes(cap=cap)  # enumerate_optima's islice refuses a cap past sys.maxsize
     _require_count("v", v)
     models, ns, _, cells = _cells(models, ns, (v,), instances, seed, length_range)
     rows: list[ReportRow] = []

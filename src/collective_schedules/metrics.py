@@ -230,29 +230,29 @@ def _finish_charge(compiled: CompiledProfile, objective: Objective):
 def _transitions(compiled: CompiledProfile, objective: Objective):
     """The exact solver's tables ``(rows, low_key, high_key, high)`` of per-task charges.
 
-    For ``mask = mh << n // 2 | ml``, the charge for running task ``i``
-    once the tasks in ``mask`` (``i`` not among them) have run is
-    ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``; an order's
-    score is the sum of its charges, and ``high[mh][i]`` is 0 for every
-    low-half task ``i < n // 2`` under every objective, which the solver's
-    fill relies on.  Pairwise: a pair within one half is charged when its
-    first task runs; a pair split between the halves, when its high-half
-    task runs, at the cost of the order it then has.  The keys pick
-    ``rows[ml]``: once the low-half tasks in ``ml`` have run, every
-    low-half task's charge and each high-half task's split pairs.
-    ``high[mh]`` holds each high-half task's pairs with the high-half tasks
-    that ``mh`` leaves waiting (2 n 2^(n/2) entries, already scaled by
-    length).  So the best completion cost of a subset read from these
-    tables carries the split pairs whose low-half task it has run and whose
-    high-half task waits: an offset per subset, 0 at the empty set, which
-    leaves every transition that keeps the optimum as it was.  Deviation and
-    tardiness: the keys are the half masks' loads, ``rows`` maps each
-    distinct start (a subset load below the total) to its row of
-    :func:`_finish_charge`, and ``high`` is one shared zero row.  Rows are
-    built by one sweep per task over the sorted starts (:func:`_swept`),
-    and only while there are at most 2^(n-1) distinct subset loads, so
-    they hold no more entries than the fill's n 2^(n-1) reads, and n times
-    those at most max(2^n, 2^16); otherwise ``rows[start]`` bisects on read.
+    For ``mask = mh << n // 2 | ml``, the charge for running task ``i`` once
+    the tasks in ``mask`` (``i`` not among them) have run is
+    ``rows[low_key[ml] + high_key[mh]][i] + high[mh][i]``; an order's score is
+    the sum of its charges.  ``high[mh][i]`` is 0 for a low-half task
+    ``i < n // 2``, so the solver's fill adds it for high-half tasks alone,
+    and only if ``high`` has a nonzero entry.  Pairwise: a pair within one half
+    is charged when its first task runs; a pair split between the halves, when
+    its high-half task runs, at the cost of the order it then has.  The keys
+    pick ``rows[ml]``: once the low-half tasks in ``ml`` have run, every
+    low-half task's charge and each high-half task's split pairs.  ``high[mh]``
+    holds each high-half task's pairs with the high-half tasks that ``mh``
+    leaves waiting (2 n 2^(n/2) entries, scaled by length; some nonzero once
+    the high half holds two tasks).  So a subset's best completion cost carries
+    the split pairs whose low-half task it has run and whose high-half task
+    waits: an offset per subset, 0 at the empty set, which keeps every
+    transition that keeps the optimum.  Deviation and tardiness: the keys are
+    the half masks' loads, ``rows`` maps each distinct start (a subset load
+    below the total) to its row of :func:`_finish_charge`, and ``high`` is one
+    shared zero row, so the fill runs without the add.  Rows are built by one
+    sweep per task over the sorted starts (:func:`_swept`), and only while
+    there are at most 2^(n-1) distinct subset loads, so they hold no more
+    entries than the fill's n 2^(n-1) reads, and n times those at most
+    max(2^n, 2^16); otherwise ``rows[start]`` bisects on read.
     """
     lengths = compiled.lengths
     n = len(lengths)

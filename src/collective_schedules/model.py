@@ -292,7 +292,7 @@ def _is_int(value: object, least: int | None = None) -> bool:
 
 
 def _require_sizes(**sizes: int) -> None:
-    # the one ceiling for counts of tasks or voters past _is_int: sys.maxsize, the longest list or array
+    # the one ceiling for counts of tasks, voters or optima past _is_int: sys.maxsize, the longest list or array
     for name, value in sizes.items():
         if value > sys.maxsize:
             raise InvalidSpecError(f"{name} must be at most sys.maxsize ({sys.maxsize}), got {name}={_shown(value)}")

@@ -26,6 +26,7 @@ smallest.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -57,10 +58,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         for name in ("optimum_cap", "max_tasks"):
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {_shown(value)}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if not (_is_int(value) and 1 <= value <= sys.maxsize):  # islice refuses a cap past sys.maxsize
+                raise ValueError(f"{name} must be an integer from 1 to sys.maxsize ({sys.maxsize}), got {_shown(value)}")
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -137,28 +136,26 @@ def solve_exact(
     tasks, up to a per-subset offset that is 0 at the empty set (pta defers
     a split pair's charge, see ``metrics._transitions``).  Memory and time
     grow as 2^n, hence the ``max_tasks`` guard.  The fill values one block of
-    masks ``mh << n // 2 | ml`` per high half ``mh`` at a time, in one short
-    list indexed by ``ml`` and copied into ``h`` when done.  Once per block it
-    slices the values over the block each waiting high-half task leads to;
-    then, per ``ml``, it takes the least of two loops, starting from one
-    slice's candidate: over the slices, and over the waiting low-half tasks,
-    whose charges read ``rows`` alone and whose targets ``ml | 1 << i`` in
-    the block come from a table kept across solves.  The full high half,
-    where only low-half tasks wait, is its own loop.  :func:`_count_optima`
-    then counts the optima on the subsets of optimal paths alone: 17-20 of
-    the 65,536 on a typical n = 16, v = 50 instance.  ``states_explored`` is
-    2^n, the subsets the fill values.
-
-    The count's worst case is an instance on which every order is optimal,
-    such as two opposite ballots of unit tasks under pta: it reaches all
-    2^n subsets and costs about 3 times the fill (0.11 s against 0.034 s
-    at n = 16, medians of 12 solves on 2 shared vCPUs).  ``wall_time_s``
-    covers the whole call, including the compile when ``profile`` is not
-    the kept one and the pair counts when no earlier call on it built them.
-    ``phases`` splits it into seconds spent in ``compile`` (that profile
-    check and compile), ``tables`` (the pair counts and the transition
-    tables), ``fill``, ``count`` and ``walk`` (the representative or the
-    capped optima).
+    masks ``mh << n // 2 | ml`` per high half ``mh`` at a time, from the full
+    set down, in one short list indexed by ``ml`` and copied into ``h`` when
+    done.  Once per block it slices the values over the block each waiting
+    high-half task leads to; then, per ``ml``, it takes the least of two
+    loops, starting from one slice's candidate: over the slices, and over the
+    waiting low-half tasks, whose charges read ``rows`` alone and whose
+    targets ``ml | 1 << i`` in the block come from a table kept across solves.
+    The slice loop adds each task's ``high[mh]`` charge only when some entry of
+    ``high`` is nonzero (pta over two or more high-half tasks); a second copy
+    of it, picked once per solve from the tables, runs without the add.  The
+    full high half, where only low-half tasks wait, is its own loop.  The
+    count then walks forward from the empty set, one layer of subsets at a
+    time, over the transitions that keep the optimum, so it reaches only the
+    subsets on optimal paths (all 2^n only where every order is optimal).
+    ``states_explored`` is 2^n, the subsets the fill values.  ``wall_time_s``
+    covers the whole call, the compile when ``profile`` is not the kept one
+    and the pair counts when no earlier call on it built them included.
+    ``phases`` splits it into seconds in ``compile`` (that profile check and
+    compile), ``tables`` (the pair counts and the transition tables),
+    ``fill``, ``count`` and ``walk`` (the representative or capped optima).
     """
     started = time.perf_counter()
     objective = Objective(objective)
@@ -173,14 +170,10 @@ def solve_exact(
     rows, low_key, high_key, high = tables = _transitions(compiled, objective)
     marks.append(time.perf_counter())
 
-    # best completion cost of every prefix set, up to a per-subset offset 0 at the
-    # empty set, from the full set down: one block of masks mh << half | ml per high
-    # half mh, each valued in the one list hb, indexed by ml, then copied into h
     half = n // 2
     targets, high_waiting = _low_targets(half), _waiting(half, n)
     size, top, h = 1 << half, len(high_waiting) - 1, [0] * (1 << n)
-    # the full high half: only low-half tasks wait, and its full set has h = 0;
-    # each subset starts from its first waiting task, which the loop meets again
+    # the full high half (its full set has h = 0): each best starts from its first waiting task, met again below
     key, hb = high_key[top], [0] * size
     for ml in range(size - 2, -1, -1):
         row, waiting = rows[low_key[ml] + key], targets[ml]
@@ -192,31 +185,51 @@ def solve_exact(
                 best = cand
         hb[ml] = best
     h[top << half :] = hb
+    charged = any(map(any, high))  # read from the tables, never from the objective
     for mh in range(top - 1, -1, -1):
         base, key, extra = mh << half, high_key[mh], high[mh]
-        # per waiting high-half task j: its charge within the high half and the
-        # slice of h over the block it leads to; the last one starts every best
+        # per waiting high-half task j: the slice of h over the block it leads to and, if
+        # charged, j's charge within the high half; the last one starts every best
         ahead = []
         for j, bit in high_waiting[mh]:
-            ahead.append((j, extra[j], h[base | bit : (base | bit) + size]))
-        j0, e0, col0 = ahead.pop()
-        for ml in range(size - 1, -1, -1):
-            row = rows[low_key[ml] + key]
-            best = row[j0] + e0 + col0[ml]
-            for j, e, col in ahead:
-                cand = row[j] + e + col[ml]
-                if cand < best:
-                    best = cand
-            for i, nl in targets[ml]:  # high[mh][i] is 0 for a low-half task
-                cand = row[i] + hb[nl]
-                if cand < best:
-                    best = cand
-            hb[ml] = best
+            col = h[base | bit : (base | bit) + size]
+            ahead.append((j, extra[j], col) if charged else (j, col))
+        if charged:
+            j0, e0, col0 = ahead.pop()
+            for ml in range(size - 1, -1, -1):
+                row = rows[low_key[ml] + key]
+                best = row[j0] + e0 + col0[ml]
+                for j, e, col in ahead:
+                    cand = row[j] + e + col[ml]
+                    if cand < best:
+                        best = cand
+                for i, nl in targets[ml]:  # high[mh][i] is 0 for a low-half task
+                    cand = row[i] + hb[nl]
+                    if cand < best:
+                        best = cand
+                hb[ml] = best
+        else:
+            j0, col0 = ahead.pop()
+            for ml in range(size - 1, -1, -1):
+                row = rows[low_key[ml] + key]
+                best = row[j0] + col0[ml]
+                for j, col in ahead:
+                    cand = row[j] + col[ml]
+                    if cand < best:
+                        best = cand
+                for i, nl in targets[ml]:
+                    cand = row[i] + hb[nl]
+                    if cand < best:
+                        best = cand
+                hb[ml] = best
         h[base : base + size] = hb
     marks.append(time.perf_counter())
 
     tight = _tight(n, h, tables)
-    count = _count_optima(n, tight)
+    layer = {0: 1}  # the optimal prefixes reaching each subset, one layer of equal-sized subsets at a time
+    for _ in range(n):
+        layer = tight(layer)
+    count = layer[(1 << n) - 1]
     marks.append(time.perf_counter())
     ids = tasks.ids
     walk = (Schedule(tuple(ids[i] for i in order)) for order in _optimal_orders(n, tight))
@@ -300,19 +313,6 @@ def _tight(n, h, tables):
         return reached
 
     return step
-
-
-def _count_optima(n, tight):
-    """The number of optimal orders, in an exact int.
-
-    A forward walk from the empty set, one layer of equal-sized subsets at
-    a time, over the transitions that keep the optimum.  It visits each
-    reached subset once, with the number of optimal prefixes that reach it.
-    """
-    layer = {0: 1}
-    for _ in range(n):
-        layer = tight(layer)
-    return layer[(1 << n) - 1]
 
 
 def _optimal_orders(n, tight):

@@ -19,7 +19,7 @@ from collective_schedules import (
     pairwise_counts,
     validate_profile,
 )
-from collective_schedules.experiments import run_compare, run_lrm_audit
+from collective_schedules.experiments import run_audit_axioms, run_compare, run_lrm_audit
 from collective_schedules.generation import _plackett_luce_rows
 
 
@@ -137,6 +137,12 @@ class TestGenSpecValidation:
                 lambda: run_lrm_audit(instances=1, n=3, v=3, length_range=(1, True)),
                 "bad length range (1, True)",
                 id="lrm-range-bool",
+            ),
+            pytest.param(
+                # refused up front: it reached islice only on an instance with a consistent schedule
+                lambda: run_audit_axioms(models=("u",), ns=(6,), instances=1, cap=10**20),
+                f"cap must be at most sys.maxsize ({sys.maxsize}), got cap={10**20}",
+                id="audit-cap-past-maxsize",
             ),
             pytest.param(
                 lambda: GenSpec(3, 5, "plackett-luce", utilities=("a", "b", "c")),

@@ -255,6 +255,12 @@ class TestCliSolve:
         assert main(argv) == 0
         assert list(json.loads(capsys.readouterr().out)) == ["rule", "objective", "schedule", "score"]
 
+    def test_cap_past_maxsize_exits_2_naming_it(self, instance_file, capsys):
+        # it printed islice's "Stop argument for islice() must be None or an integer"
+        argv = ["solve", "--rule", "sum-dev", "--input", instance_file, "--all-optima", "--cap", str(10**20)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: optimum_cap must be an integer from 1 to sys.maxsize")
+
     def test_size_guard_exits_3(self, instance_file, capsys):
         argv = ["solve", "--rule", "sum-dev", "--input", instance_file, "--max-tasks", "2"]
         assert main(argv) == 3

@@ -71,3 +71,15 @@ def test_the_integer_rule_is_stated_once():
             allowed += [f"model.py:{line}" for node in rule for line in _bool_checks(node)]
     assert found == allowed
     assert len(allowed) == 1
+
+
+def test_the_solver_never_branches_on_the_objective():
+    # the fill picks its lead loop from the tables themselves, so the solver names no member of Objective
+    path = Path(collective_schedules.__file__).parent / "solver.py"
+    members = {"SUM_DEVIATION", "SUM_TARDINESS", "PTA_KENDALL_TAU"}
+    named = [
+        f"solver.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if getattr(node, "attr", None) in members or getattr(node, "id", None) in members
+    ]
+    assert named == []

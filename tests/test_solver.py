@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,11 +139,26 @@ class TestOptions:
             pytest.param({"optimum_cap": 2.5}, id="optimum_cap-float"),
             pytest.param({"max_tasks": True}, id="max_tasks-bool"),
             pytest.param({"max_tasks": 2.5}, id="max_tasks-float"),
+            # the solve filled and counted, then islice refused the cap
+            pytest.param({"enumerate_all": True, "optimum_cap": 10**30}, id="optimum_cap-past-maxsize"),
+            pytest.param({"optimum_cap": sys.maxsize + 1}, id="optimum_cap-maxsize-plus-1"),
+            pytest.param({"max_tasks": sys.maxsize + 1}, id="max_tasks-maxsize-plus-1"),
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
+
+    def test_cap_at_the_ceiling_enumerates(self, example):
+        tasks, profile = example
+        report = solve_exact(tasks, profile, Objective.PTA_KENDALL_TAU, SolveOptions(enumerate_all=True, optimum_cap=sys.maxsize))
+        assert report.optima_complete and len(report.optima) == report.optimum_count
+
+    @pytest.mark.parametrize("cap", [10**20, 2**63])
+    def test_cap_past_the_ceiling_named_before_any_solve(self, example, cap):
+        tasks, profile = example
+        with pytest.raises(ValueError, match=rf"^optimum_cap must be an integer from 1 to sys.maxsize \({sys.maxsize}\), got {cap}$"):
+            enumerate_optima(tasks, profile, Objective.SUM_DEVIATION, cap=cap)
 
     def test_size_guard(self, example):
         tasks, profile = example
