@@ -151,6 +151,64 @@ class TestDeltaSearchMatchesFullRescore:
         start = Schedule(tuple(reversed(tasks.ids)))
         assert local_search(start, profile, objective, 3) == reference_local_search(start, profile, objective, 3)
 
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_full_descents_at_many_tasks(self, n, objective):
+        # a gain left stale by a swap shows only at a later step, so these
+        # run the default budget out, from the reversed order and a random one
+        tasks, profile = generate(GenSpec(n, 5, "uniform", (1, 10), n))
+        rng = np.random.default_rng(n)
+        for start in (Schedule(tuple(reversed(tasks.ids))), Schedule(tuple(rng.permutation(tasks.ids)))):
+            result = local_search(start, profile, objective)
+            assert result == reference_local_search(start, profile, objective), (n, objective, start)
+            assert len(result[1].steps) > n // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        data=st.data(),
+        objective=st.sampled_from(list(Objective)),
+        max_steps=st.sampled_from([1, 3, None]),
+    )
+    def test_tie_heavy_instances(self, n, data, objective, max_steps):
+        # unit lengths and one or two voters: many swaps gain the same, and
+        # the leftmost of them must be the one applied
+        tasks = TaskSet(tuple((f"t{i}", 1) for i in range(n)))
+        ballots = data.draw(st.lists(st.permutations(tasks.ids), min_size=1, max_size=2))
+        profile = PreferenceProfile.of(tasks, *((ballot, 1) for ballot in ballots))
+        start = Schedule(tuple(data.draw(st.permutations(tasks.ids))))
+        assert local_search(start, profile, objective, max_steps) == reference_local_search(
+            start, profile, objective, max_steps
+        )
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_tied_descents_at_many_tasks(self, n, objective):
+        tasks = TaskSet(tuple((f"t{i:02d}", 1) for i in range(n)))
+        rng = np.random.default_rng(n)
+        for orders in ([tasks.ids], [tasks.ids, tasks.ids[::-1]], [rng.permutation(tasks.ids), rng.permutation(tasks.ids)]):
+            profile = PreferenceProfile.from_orders(tasks, orders)
+            for start in (Schedule(tasks.ids[::-1]), Schedule(tuple(rng.permutation(tasks.ids)))):
+                result = local_search(start, profile, objective)
+                assert result == reference_local_search(start, profile, objective), (n, objective, start)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("max_steps", [0, 1, None])
+    def test_one_and_two_tasks(self, n, max_steps):
+        tasks = TaskSet(tuple((f"t{i}", 2 * i + 1) for i in range(n)))
+        for ballots, objective in itertools.product(itertools.permutations(tasks.ids), Objective):
+            profile = PreferenceProfile.of(tasks, (ballots, 3))
+            for order in itertools.permutations(tasks.ids):
+                start = Schedule(order)
+                result = local_search(start, profile, objective, max_steps)
+                assert result == reference_local_search(start, profile, objective, max_steps)
+                if max_steps == 0:
+                    assert result[1].terminated_by == "step-cap"
+        # the step cap is checked before any swap is scored, even at one task
+        unanimous = PreferenceProfile.of(tasks, (tasks.ids, 1))
+        _, trace = local_search(Schedule(tasks.ids), unanimous, Objective.SUM_DEVIATION, max_steps)
+        assert trace.terminated_by == ("step-cap" if max_steps == 0 else "local-optimum")
+
     def test_validates_the_profile_once(self, compile_counts):
         # the full-rescore descent re-validated the profile for every swap
         tasks, profile = generate(GenSpec(8, 30, "uniform", (1, 10), 7))
