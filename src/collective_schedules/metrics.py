@@ -10,17 +10,10 @@ Three profile metrics drive the aggregation rules:
   pair the candidate schedule places as (a before b) against a voter who
   wanted b first costs the length of a, the task that was moved ahead.
 
-All scores are exact Python integers.  Scoring, solving, heuristic and
-audit entry points read a :class:`CompiledProfile`: per-task due tables in
-task-index space, built in one walk over the ballots that also checks them,
-and pairwise order counts built from the ballots on first read (by the
-pairwise objective, :func:`pairwise_counts` and the axiom checks; deviation
-and tardiness never walk the ballots twice): scoring one more candidate
-then costs O(n^2) for the pairwise objective and O(n log groups) for the
-others, not another scan over the voters.  One compiled form is kept, for
-the profile most recently compiled: every entry point called on that same
-profile object reads it without checking or compiling again, and the next
-profile replaces it.
+All scores are exact Python integers.  Every entry point reads a
+:class:`CompiledProfile`: per-task due tables built in one walk that checks
+the ballots, and pairwise counts built on first read.  The form of the
+profile compiled last is kept (README, "Rules and objectives").
 
 Only this module knows each objective, and it computes each cost one way.
 Deviation and tardiness charge each task by its finish time alone

@@ -57,9 +57,12 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         for name in ("optimum_cap", "max_tasks"):
-            value = getattr(self, name)
-            if not (_is_int(value) and 1 <= value <= sys.maxsize):  # islice refuses a cap past sys.maxsize
-                raise ValueError(f"{name} must be an integer from 1 to sys.maxsize ({sys.maxsize}), got {_shown(value)}")
+            _require_bound(name, getattr(self, name))
+
+
+def _require_bound(name: str, value: object) -> None:
+    if not (_is_int(value) and 1 <= value <= sys.maxsize):  # islice refuses a cap past sys.maxsize
+        raise ValueError(f"{name} must be an integer from 1 to sys.maxsize ({sys.maxsize}), got {_shown(value)}")
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -137,17 +140,8 @@ def solve_exact(
     a split pair's charge, see ``metrics._transitions``).  Memory and time
     grow as 2^n, hence the ``max_tasks`` guard.  The fill values one block of
     masks ``mh << n // 2 | ml`` per high half ``mh`` at a time, from the full
-    set down, in one short list indexed by ``ml`` and copied into ``h`` when
-    done.  Once per block it slices the values over the block each waiting
-    high-half task leads to; then, per ``ml``, it takes the least of two
-    loops, starting from one slice's candidate: over the slices, and over the
-    waiting low-half tasks, whose charges read ``rows`` alone and whose
-    targets ``ml | 1 << i`` in the block come from a table kept across solves.
-    The slice loop adds each task's ``high[mh]`` charge only when some entry of
-    ``high`` is nonzero (pta over two or more high-half tasks); a second copy
-    of it, picked once per solve from the tables, runs without the add.  The
-    full high half, where only low-half tasks wait, is its own loop.  The
-    count then walks forward from the empty set, one layer of subsets at a
+    set down; README's "Rules and objectives" gives its loops.  The count
+    then walks forward from the empty set, one layer of subsets at a
     time, over the transitions that keep the optimum, so it reaches only the
     subsets on optimal paths (all 2^n only where every order is optimal).
     ``states_explored`` is 2^n, the subsets the fill values.  ``wall_time_s``
@@ -260,6 +254,7 @@ def enumerate_optima(
 
     Returns the schedules and a flag telling whether the list is complete.
     """
+    _require_bound("cap", cap)
     report = solve_exact(tasks, profile, objective, SolveOptions(enumerate_all=True, optimum_cap=cap))
     assert report.optima is not None
     return report.optima, report.optima_complete

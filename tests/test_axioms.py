@@ -236,6 +236,15 @@ class TestNeutralityProbe:
         verdict = neutrality_probe(profile, "1", "3", Objective.PTA_KENDALL_TAU, cap=1)
         assert verdict.holds is None
 
+    @pytest.mark.parametrize("cap", [0, True, 10**20])
+    def test_a_bad_cap_is_named_as_passed(self, example, cap):
+        # it used to surface as SolveOptions' optimum_cap, a name the caller never passed
+        _, profile = example
+        with pytest.raises(ValueError, match=r"^cap must be an integer from 1 to sys.maxsize"):
+            neutrality_probe(profile, "1", "3", Objective.PTA_KENDALL_TAU, cap=cap)
+        with pytest.raises(ValueError, match=r"^cap must be an integer from 1 to sys.maxsize"):
+            reinforcement_check(profile, profile, Objective.PTA_KENDALL_TAU, cap=cap)
+
 
 class TestLengthReductionProbe:
     def test_deviation_violation_instance(self):

@@ -6,6 +6,7 @@ import pytest
 from collective_schedules import rules
 from collective_schedules import (
     GenSpec,
+    LocalSearchTrace,
     MismatchedTaskSetError,
     Objective,
     PreferenceProfile,
@@ -95,6 +96,15 @@ class TestLocalSearch:
             (0, 40, 29),
             (1, 29, 20),
         ]
+        # n - 1 = 2 gains at the start, then one neighbour's per step: the
+        # swapped pair's own gain is the step's, negated
+        assert trace.swaps_scored == 4
+
+    def test_swaps_scored_takes_no_part_in_equality(self, example):
+        _, profile = example
+        _, trace = local_search(Schedule.of("3", "2", "1"), profile, Objective.SUM_DEVIATION)
+        by_hand = LocalSearchTrace(trace.steps, trace.terminated_by, trace.start_score, trace.final_score)
+        assert by_hand.swaps_scored == 0 and by_hand == trace
 
     def test_no_steps_at_an_optimum(self, example):
         _, profile = example
@@ -105,6 +115,7 @@ class TestLocalSearch:
         assert trace.steps == ()
         assert trace.terminated_by == "local-optimum"
         assert trace.start_score == trace.final_score == 20
+        assert trace.swaps_scored == 2
 
     def test_step_cap(self, example):
         _, profile = example
@@ -117,6 +128,7 @@ class TestLocalSearch:
         assert sched.order == ("3", "2", "1")
         assert trace.steps == ()
         assert trace.terminated_by == "step-cap"
+        assert trace.swaps_scored == 2
 
     def test_negative_cap_rejected(self, example):
         _, profile = example
@@ -148,6 +160,9 @@ class TestLocalSearch:
                 assert trace.final_score == scores[-1]
                 assert trace.final_score == score(sched, profile, objective)
                 assert trace.final_score <= trace.start_score
+                # n - 1 gains at the start, then one or two neighbours' per step
+                steps = len(trace.steps)
+                assert tasks.n - 1 + steps <= trace.swaps_scored <= tasks.n - 1 + 2 * steps
 
     def test_default_budget_suffices_in_practice(self):
         # The default step budget is 2n; seeded descents finish within it.

@@ -157,7 +157,7 @@ class TestOptions:
     @pytest.mark.parametrize("cap", [10**20, 2**63])
     def test_cap_past_the_ceiling_named_before_any_solve(self, example, cap):
         tasks, profile = example
-        with pytest.raises(ValueError, match=rf"^optimum_cap must be an integer from 1 to sys.maxsize \({sys.maxsize}\), got {cap}$"):
+        with pytest.raises(ValueError, match=rf"^cap must be an integer from 1 to sys.maxsize \({sys.maxsize}\), got {cap}$"):
             enumerate_optima(tasks, profile, Objective.SUM_DEVIATION, cap=cap)
 
     def test_size_guard(self, example):
